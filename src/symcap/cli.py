@@ -1,17 +1,16 @@
 """Command-line entry point.
 
 Subcommands: spectrum, capacity, squeeze, maslov, ebk, flow, selftest.
-Global flags --hbar/--tol/--seed/--samples/--format/--out; environment
-variables SYMCAP_HBAR, SYMCAP_TOL, SYMCAP_SEED, SYMCAP_SAMPLES, SYMCAP_FORMAT
-supply defaults, with flags taking precedence.  Exit codes: 0 success,
-1 verification failure, 2 input error.
+Global flags --hbar/--tol/--seed/--format/--out; environment variables
+SYMCAP_HBAR, SYMCAP_TOL, SYMCAP_SEED, SYMCAP_FORMAT supply defaults, with
+flags taking precedence.  Exit codes: 0 success, 1 verification failure,
+2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,12 +29,11 @@ class RunConfig:
     hbar: float = 1.0
     tol: float = 1e-9
     seed: int = 0
-    samples: int = 10**5
     output_format: str = "json"
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.tol > 0 and self.samples > 0):
-            raise symcore.ValidationError("hbar, tol and samples must be positive")
+        if not (self.hbar > 0 and self.tol > 0):
+            raise symcore.ValidationError("hbar and tol must be positive")
         if self.output_format not in ("json", "csv"):
             raise symcore.ValidationError(f"unknown format {self.output_format!r}")
 
@@ -55,7 +53,6 @@ def _config(args) -> RunConfig:
         hbar=args.hbar if args.hbar is not None else _env("SYMCAP_HBAR", float, 1.0),
         tol=args.tol if args.tol is not None else _env("SYMCAP_TOL", float, 1e-9),
         seed=args.seed if args.seed is not None else _env("SYMCAP_SEED", int, 0),
-        samples=args.samples if args.samples is not None else _env("SYMCAP_SAMPLES", int, 10**5),
         output_format=args.format if args.format is not None
         else _env("SYMCAP_FORMAT", str, "json"),
     )
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hbar", type=float, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     parser.add_argument("--out", default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)

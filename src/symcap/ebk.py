@@ -9,12 +9,10 @@ monotone K every level is bounded below by K(hbar/2, ..., hbar/2).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .regions import SolidTorus, capacity
-from .symcore import DegenerateInputError, ValidationError
+from .symcore import DegenerateInputError, ValidationError, write_csv
 
 
 class InvalidMaslovError(ValueError):
@@ -158,24 +156,15 @@ class EBKSpectrum:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self, path_or_file=None) -> str:
-        h = 2.0 * math.pi * self.hbar
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["N", "actions", "radii", "energy", "capacity", "satisfied"])
+        rows = []
         for e in self.entries:
             check = capacity_condition(e, self.hbar)
-            writer.writerow([" ".join(map(str, e.N)),
-                             " ".join(repr(a) for a in e.actions),
-                             " ".join(repr(r) for r in e.radii),
-                             repr(e.energy), repr(check.capacity), check.satisfied])
-        text = buf.getvalue()
-        if path_or_file is not None:
-            if hasattr(path_or_file, "write"):
-                path_or_file.write(text)
-            else:
-                with open(path_or_file, "w") as fh:
-                    fh.write(text)
-        return text
+            rows.append([" ".join(map(str, e.N)),
+                         " ".join(repr(a) for a in e.actions),
+                         " ".join(repr(r) for r in e.radii),
+                         repr(e.energy), repr(check.capacity), check.satisfied])
+        return write_csv(["N", "actions", "radii", "energy", "capacity", "satisfied"],
+                         rows, path_or_file)
 
 
 def energy_levels(K: ActionHamiltonian, maslov, n_max: int, hbar: float = 1.0) -> EBKSpectrum:

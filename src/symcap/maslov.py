@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .symcore import DimensionError, SymplecticMatrix, ValidationError
+from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_indices
 
 CLOSURE_TOL = 1e-8  # max principal angle between endpoint planes
 SNAP_TOL = 0.1      # max |raw winding - integer| accepted
@@ -105,10 +105,6 @@ class LagrangianLoop:
     @property
     def n(self) -> int:
         return self.frames[0].n
-
-    @property
-    def closed(self) -> bool:
-        return True  # enforced at construction
 
     def to_json(self) -> str:
         return json.dumps({
@@ -200,8 +196,7 @@ def torus_cycle_loop(radii, j: int, samples: int = 64) -> LagrangianLoop:
     """
     radii = [float(r) for r in radii]
     n = len(radii)
-    if not 1 <= j <= n:
-        raise ValidationError(f"conjugate-pair index {j} out of range 1..{n}")
+    plane_indices(n, j)
     if samples < 16:
         raise ValidationError(f"need samples >= 16, got {samples}")
     if any(r <= 0 for r in radii):

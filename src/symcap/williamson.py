@@ -13,19 +13,18 @@ coordinates, the ellipsoid with conjugate-plane radii sqrt(2 * level / mu_j).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
 
 from .symcore import (
-    DimensionError,
     SymplecticMatrix,
     ValidationError,
     _maxabs,
     standard_form_matrix,
+    validate_posdef,
+    write_csv,
 )
 
 
@@ -52,20 +51,9 @@ class SymplecticSpectrum:
 
     def to_csv(self, path_or_file=None) -> str:
         """Write columns (j, mu, radius, omega); returns the CSV text."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["j", "mu", "radius", "omega"])
-        for j in range(self.n):
-            writer.writerow([j + 1, repr(float(self.mu[j])), repr(float(self.radii[j])),
-                             repr(float(self.omega[j]))])
-        text = buf.getvalue()
-        if path_or_file is not None:
-            if hasattr(path_or_file, "write"):
-                path_or_file.write(text)
-            else:
-                with open(path_or_file, "w") as fh:
-                    fh.write(text)
-        return text
+        rows = ([j + 1, repr(float(self.mu[j])), repr(float(self.radii[j])),
+                 repr(float(self.omega[j]))] for j in range(self.n))
+        return write_csv(["j", "mu", "radius", "omega"], rows, path_or_file)
 
 
 @dataclass(frozen=True)
@@ -75,26 +63,13 @@ class WilliamsonDecomposition:
     residual: float
 
 
-def _validate_posdef(R) -> np.ndarray:
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2:
-        raise DimensionError(f"expected a square matrix of even order, got shape {R.shape}")
-    scale = max(_maxabs(R), np.finfo(float).tiny)
-    if _maxabs(R - R.T) > 1e-10 * scale:
-        raise ValidationError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(R)
-    if w[0] < 1e-12 * scale:
-        raise ValidationError(f"matrix is not positive definite: eigenvalue {w[0]!r}")
-    return (R + R.T) / 2.0
-
-
 def symplectic_spectrum(R) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive-definite symmetric matrix.
 
     The mu_j are read off from the spectrum of J R, whose eigenvalues come in
     pairs +/- i mu_j for positive-definite R.
     """
-    R = _validate_posdef(R)
+    R = validate_posdef(R)
     n = R.shape[0] // 2
     ev = np.linalg.eigvals(standard_form_matrix(n) @ R)
     imag = np.sort(ev.imag)
@@ -110,7 +85,7 @@ def williamson_decompose(R) -> WilliamsonDecomposition:
     S = R^{-1/2} O D^{1/2}.  Only the residual bound
     |S^T R S - D| <= 1e-8 |R| is contractual.
     """
-    R = _validate_posdef(R)
+    R = validate_posdef(R)
     n = R.shape[0] // 2
     J = standard_form_matrix(n)
 

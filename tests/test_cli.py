@@ -169,3 +169,9 @@ def test_nonpositive_hbar_rejected(capsys):
     code, _ = run(capsys, "--hbar", "-1", "spectrum",
                   "--hessian", "[[1.0, 0.0], [0.0, 1.0]]")
     assert code == EXIT_INPUT
+
+
+def test_samples_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--samples", "5", "capacity", "--region", '{"variant": "Ball", "R": 1}'])
+    assert exc.value.code == EXIT_INPUT

@@ -20,7 +20,11 @@ from symcap import (
     sandwich_capacity,
     scale_region,
 )
-from symcap.regions import InconsistentCertificateError, UnsupportedCombinationError
+from symcap.regions import (
+    InconsistentCertificateError,
+    UnsupportedCombinationError,
+    _shadow_extent,
+)
 
 
 def test_ball_capacity():
@@ -170,13 +174,106 @@ def test_inclusion_unsupported_pair():
         inclusion_check(Cylinder(1, np.zeros(4), 1.0), Ball(np.zeros(4), 5.0))
 
 
-def test_inclusion_sampling_affine_image():
+def _preimage_inside(S, shift, base, z, slack=1e-9):
+    """Whether z lies in S(base) + shift, tested on the preimage."""
+    w = np.linalg.solve(S, z - shift) - getattr(base, "center", 0.0)
+    if isinstance(base, Ball):
+        return np.linalg.norm(w) <= base.radius * (1.0 + slack)
+    if isinstance(base, Ellipsoid):
+        return 0.5 * w @ base.hessian @ w <= base.level * (1.0 + slack)
+    n = base.n
+    return bool(np.all(np.hypot(w[:n], w[n:]) <= np.asarray(base.radii) * (1.0 + slack)))
+
+
+def _dense_shadow_max(S, shift, base, j, count=10**6):
+    """Largest |w| over `count` boundary points w of the shadow of S(base) + shift
+    on plane j, taken at evenly spaced outward normals u."""
+    n = base.n
+    idx = [j - 1, n + j - 1]
+    B = S[idx]
+    c = (S @ getattr(base, "center", np.zeros(2 * n)) + shift)[idx]
+    t = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    u = np.column_stack([np.cos(t), np.sin(t)])
+    if isinstance(base, SolidTorus):
+        # Minkowski sum of the ellipses R_k B_k(D^2), B_k the columns of pair k
+        pts = np.tile(c, (count, 1))
+        for k, R in enumerate(base.radii):
+            Bk = B[:, [k, n + k]]
+            v = u @ Bk
+            pts += R * (v / np.linalg.norm(v, axis=1, keepdims=True)) @ Bk.T
+    else:
+        # ellipse c + L (cos t, sin t) with L L^T = B M B^T, M^{-1} the base's form
+        M = (base.radius**2 * np.eye(2 * n) if isinstance(base, Ball)
+             else 2.0 * base.level * np.linalg.inv(base.hessian))
+        pts = c + u @ np.linalg.cholesky(B @ M @ B.T).T
+    return float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
+
+
+def test_inclusion_affine_image_exact():
     S = random_symplectic(2, seed=4, spread=0.5)
     mapped = map_region(Ball(np.zeros(4), 1.0), S)
-    small = inclusion_check(mapped, Cylinder(1, np.zeros(4), 0.5), seed=1)
-    assert not small and small.witness is not None  # non-squeezing: shadow > pi/4
-    big = inclusion_check(mapped, Cylinder(1, np.zeros(4), 100.0), seed=1)
-    assert big and not big.exact  # sampling verdicts are only "at confidence"
+    small = inclusion_check(mapped, Cylinder(1, np.zeros(4), 0.5))
+    assert not small and small.exact  # non-squeezing: shadow > pi/4
+    assert _preimage_inside(S.entries, np.zeros(4), mapped.inner, small.witness)
+    assert np.hypot(small.witness[0], small.witness[2]) > 0.5
+    big = inclusion_check(mapped, Cylinder(1, np.zeros(4), 100.0))
+    assert big and big.exact and big.witness is None
+    # the shadow's largest semi-axis is the top singular value of the plane rows
+    semi = np.linalg.svd(S.entries[[0, 2]], compute_uv=False)[0]
+    assert inclusion_check(mapped, Cylinder(1, np.zeros(4), semi * (1.0 + 1e-9)))
+    assert not inclusion_check(mapped, Cylinder(1, np.zeros(4), semi * (1.0 - 1e-9)))
+
+
+def _affine_cases():
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(4, 4))
+    H = A @ A.T + 0.3 * np.eye(4)
+    S1 = random_symplectic(2, seed=21, spread=0.6)
+    S2 = random_symplectic(2, seed=22, spread=0.6)
+    S3 = random_symplectic(3, seed=23, spread=1.0)
+    c1, c2, c3 = rng.normal(size=4), rng.normal(size=4), rng.normal(size=6)
+    torus2, torus3 = SolidTorus((0.7, 1.3)), SolidTorus((0.5, 1.0, 1.5))
+    ball = Ball(rng.normal(size=4), 1.2)
+    ell = Ellipsoid(rng.normal(size=4), H, 0.8)
+    # (region, composed map, composed shift, base, plane)
+    return [
+        (map_region(torus2, S1), S1.entries, np.zeros(4), torus2, 1),
+        (map_region(torus2, S1), S1.entries, np.zeros(4), torus2, 2),
+        (map_region(torus2, S1, c1), S1.entries, c1, torus2, 2),
+        (map_region(torus3, S3, c3), S3.entries, c3, torus3, 2),
+        (map_region(ball, S2, c2), S2.entries, c2, ball, 1),
+        (map_region(ell, S1, c1), S1.entries, c1, ell, 2),
+        (map_region(Ellipsoid(np.zeros(4), H, 0.8), S2), S2.entries, np.zeros(4),
+         Ellipsoid(np.zeros(4), H, 0.8), 1),
+        (AffineImage(S2, c2, AffineImage(S1, c1, torus2)),
+         S2.entries @ S1.entries, S2.entries @ c1 + c2, torus2, 1),
+        (Ellipsoid(np.zeros(4), H, 0.8), np.eye(4), np.zeros(4),
+         Ellipsoid(np.zeros(4), H, 0.8), 2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_affine_image_shadow_extent_matches_dense_reference(case):
+    region, S, shift, base, j = _affine_cases()[case]
+    extent, point = _shadow_extent(region, j)
+    ref = _dense_shadow_max(S, shift, base, j)
+    assert extent >= ref * (1.0 - 1e-12)
+    assert extent - ref <= 1e-6 * ref
+    n = base.n
+    assert _preimage_inside(S, shift, base, point)
+    assert np.hypot(point[j - 1], point[n + j - 1]) >= extent * (1.0 - 1e-12)
+    zero = np.zeros(2 * n)
+    outside = inclusion_check(region, Cylinder(j, zero, extent * (1.0 - 1e-9)))
+    inside = inclusion_check(region, Cylinder(j, zero, extent * (1.0 + 1e-9)))
+    assert inside and inside.exact
+    assert not outside and outside.exact and outside.witness is not None
+
+
+def test_inclusion_affine_image_of_cylinder_unsupported():
+    S = random_symplectic(2, seed=4)
+    image = map_region(Cylinder(1, np.zeros(4), 1.0), S)
+    with pytest.raises(UnsupportedCombinationError):
+        inclusion_check(image, Cylinder(2, np.zeros(4), 5.0))
 
 
 def test_monotonicity_follows_inclusion():

@@ -126,3 +126,32 @@ def test_nonsqueeze_report_json():
 def test_nonsqueeze_requires_trials():
     with pytest.raises(ValidationError):
         nonsqueeze_verify(2, trials=0, seed=0)
+
+
+def test_mc_intersection_box_holds_whole_slice():
+    # a small slice in a large starting box once left a coarse-pass box inside it
+    S = random_symplectic(2, seed=1736664013, spread=0.6)
+    assert mc_intersection_area(S, 1.0, 2, samples=300_000, seed=579296968) == \
+        pytest.approx(intersection_area(S, 1.0, 2), rel=0.01)
+
+
+def test_shadow_report_on_ill_conditioned_planar_map():
+    S = random_symplectic(1, 11821)  # cond(S) about 1.8e4
+    rep = shadow_report(S, 1.0, 1)
+    assert rep.projection_ratio == pytest.approx(1.0, abs=1e-9)
+    assert rep.intersection_ratio == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, trials, seed, spread", [(1, 10, 0, 2.0), (5, 2000, 11, 1.5)])
+def test_nonsqueeze_verify_ill_conditioned_maps(n, trials, seed, spread):
+    rep = nonsqueeze_verify(n, trials=trials, seed=seed, spread=spread)
+    assert not rep.violations
+    assert rep.min_projection_ratio >= 1.0 - 1e-9
+
+
+def test_nonsqueeze_verify_never_raises_across_spreads():
+    for n in (1, 2, 3, 5, 10):
+        for spread in (0.5, 1.0, 2.0, 3.0):
+            rep = nonsqueeze_verify(n, trials=15, seed=n, spread=spread)
+            if spread <= 2.0:
+                assert not rep.violations, (n, spread)

@@ -105,6 +105,13 @@ def test_symplectic_matrix_rejects_garbage():
         SymplecticMatrix(np.diag([2.0, 2.0]))
 
 
+def test_random_symplectic_accepts_ill_conditioned_draws():
+    # det S carries round-off of order eps |S|_F^2 at these spreads
+    for seed in (113, 219):
+        S = random_symplectic(1, seed=seed, spread=3.0)
+        assert is_symplectic(S.entries).ok
+
+
 def test_symplectic_matrix_json_roundtrip():
     S = random_symplectic(2, seed=3)
     T = SymplecticMatrix.from_json(S.to_json())
