@@ -11,8 +11,10 @@ from .symcore import (
     is_symplectic,
     quad_propagator,
     random_symplectic,
+    random_symplectic_stack,
     standard_form_matrix,
     symplectic_form,
+    validate_symplectic,
 )
 from .williamson import (
     SymplecticSpectrum,

@@ -156,7 +156,7 @@ def _cmd_flow(args, cfg):
         zt = S.transform(z0)
         out["z0"] = z0.tolist()
         out["z_t"] = zt.tolist()
-        out["energy_drift"] = abs(H.value(zt) - H.value(z0))
+        out["energy_drift"] = symcore.flow_energy_drift(H, z0, [args.t])
     _emit(json.dumps(out, sort_keys=True), args)
     return EXIT_OK
 

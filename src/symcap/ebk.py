@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .regions import SolidTorus, capacity
 from .symcore import DegenerateInputError, ValidationError, write_csv
@@ -253,6 +251,8 @@ def projection_area_bound(entry: EBKLevel, hbar: float = 1.0):
 # --- 1D action quadrature ----------------------------------------------------
 
 def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
+    from scipy.optimize import brentq
+
     if V(x0) > energy:
         # walk toward lower potential to find a classically allowed point
         for step in 2.0 ** np.arange(-6, 21):
@@ -291,6 +291,9 @@ def action_quadrature_1d(hamiltonian: Callable, energy: float,
     are found by bisection and integrated between the turning points after a
     sine substitution that absorbs the square-root endpoints.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     V = lambda x: hamiltonian(x, 0.0)
     x_lo, x_hi = _bracket_turning_points(V, energy)
     if not x_hi > x_lo:

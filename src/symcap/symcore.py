@@ -112,6 +112,18 @@ class SymplecticCheck(NamedTuple):
     residual: float
 
 
+def _symplectic_residuals(S: np.ndarray):
+    """max|S^T J S - J| and max|S|^2 of each matrix of a stack S of shape (T, 2n, 2n)."""
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise DimensionError(f"expected square matrices, got shape {S.shape[1:]}")
+    if S.shape[-1] % 2:
+        raise DimensionError(f"symplectic matrices have even order, got {S.shape[-1]}")
+    J = standard_form_matrix(S.shape[-1] // 2)
+    residual = np.max(np.abs(np.swapaxes(S, 1, 2) @ J @ S - J), axis=(1, 2))
+    scale = np.maximum(np.max(np.abs(S), axis=(1, 2)) ** 2, np.finfo(float).tiny)
+    return residual, scale
+
+
 def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     """Test whether M preserves the standard form.
 
@@ -120,15 +132,33 @@ def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     verdict so callers can report near-misses.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] % 2:
-        raise DimensionError(f"symplectic matrices have even order, got {M.shape[0]}")
-    n = M.shape[0] // 2
-    J = standard_form_matrix(n)
-    residual = _maxabs(M.T @ J @ M - J)
-    scale = max(_maxabs(M) ** 2, np.finfo(float).tiny)
-    return SymplecticCheck(residual <= tol * scale, residual)
+    (residual,), (scale,) = _symplectic_residuals(M[None])
+    return SymplecticCheck(bool(residual <= tol * scale), float(residual))
+
+
+def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Raise ValidationError unless every matrix of the stack S (T, 2n, 2n) is in Sp(n).
+
+    S^T J S = J must hold to residual <= tol * max|S|^2 (see is_symplectic),
+    and |det S - 1| must stay within max(10 tol max(1, |det S|),
+    DET_ROUNDOFF eps |S|_F^2).
+    """
+    residual, scale = _symplectic_residuals(S)
+    bad = np.flatnonzero(~(residual <= tol * scale))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"matrix is not symplectic: residual {residual[k]:.3e} "
+            f"exceeds {tol:.1e} * |S|^2"
+        )
+    det = np.linalg.det(S)
+    limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
+                       DET_ROUNDOFF * np.finfo(float).eps * np.sum(S**2, axis=(1, 2)))
+    bad = np.flatnonzero(np.abs(det - 1.0) > limit)
+    if bad.size:
+        raise ValidationError(f"det S = {float(det[bad[0]])!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -146,17 +176,7 @@ class SymplecticMatrix:
         entries = np.array(self.entries, dtype=float)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        check = is_symplectic(entries, self.tol)
-        if not check.ok:
-            raise ValidationError(
-                f"matrix is not symplectic: residual {check.residual:.3e} "
-                f"exceeds {self.tol:.1e} * |S|^2"
-            )
-        det = float(np.linalg.det(entries))
-        limit = max(10 * self.tol * max(1.0, abs(det)),
-                    DET_ROUNDOFF * np.finfo(float).eps * float(np.sum(entries**2)))
-        if abs(det - 1.0) > limit:
-            raise ValidationError(f"det S = {det!r}, expected 1")
+        validate_symplectic(entries[None], self.tol)
 
     @property
     def n(self) -> int:
@@ -200,6 +220,37 @@ class SymplecticMatrix:
         return cls(rows, tol)
 
 
+def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
+    """The unvalidated stack (T, 2n, 2n) behind random_symplectic, one map per seed."""
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    if not spread > 0:
+        raise ValidationError(f"need spread > 0, got {spread}")
+    A = np.empty((len(seeds), 2, 2 * n, 2 * n))
+    theta = np.empty((len(seeds), n))
+    for k, seed in enumerate(seeds):  # each map keeps its own stream
+        rng = np.random.default_rng(seed)
+        A[k] = rng.normal(scale=spread, size=(2, 2 * n, 2 * n))
+        theta[k] = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    A = (A + np.swapaxes(A, 2, 3)) / 2.0
+    E = expm(standard_form_matrix(n) @ A)
+    i = np.arange(n)
+    rot = np.zeros((len(seeds), 2 * n, 2 * n))
+    rot[:, i, i] = rot[:, n + i, n + i] = np.cos(theta)
+    rot[:, i, n + i] = np.sin(theta)
+    rot[:, n + i, i] = -np.sin(theta)
+    return E[:, 0] @ E[:, 1] @ rot
+
+
+def random_symplectic_stack(n: int, seeds, spread: float = 1.0,
+                            tol: float = DEFAULT_TOL) -> np.ndarray:
+    """random_symplectic(n, seed, spread).entries for every seed, as one validated
+    (T, 2n, 2n) array."""
+    S = _draw_symplectic(n, seeds, spread)
+    validate_symplectic(S, tol)
+    return S
+
+
 def random_symplectic(n: int, seed: int, spread: float = 1.0,
                       tol: float = DEFAULT_TOL) -> SymplecticMatrix:
     """Draw a deterministic pseudo-random element of Sp(n).
@@ -209,21 +260,7 @@ def random_symplectic(n: int, seed: int, spread: float = 1.0,
     conjugate plane.  Group membership is exact up to matrix-exponential
     accuracy, and the factors mix position and momentum coordinates.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if not spread > 0:
-        raise ValidationError(f"need spread > 0, got {spread}")
-    rng = np.random.default_rng(seed)
-    J = standard_form_matrix(n)
-    S = np.eye(2 * n)
-    for _ in range(2):
-        A = rng.normal(scale=spread, size=(2 * n, 2 * n))
-        A = (A + A.T) / 2.0
-        S = S @ expm(J @ A)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
-    rot = np.block([[c, s], [-s, c]])
-    return SymplecticMatrix(S @ rot, tol)
+    return SymplecticMatrix(_draw_symplectic(n, [seed], spread)[0], tol)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from symcap import QuadraticHamiltonian, flow_energy_drift
 from symcap.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, dispatch
 
 
@@ -147,6 +148,22 @@ def test_flow_conserves_energy(capsys):
     obj = json.loads(out)
     assert obj["energy_drift"] <= 1e-12
     assert obj["z_t"] == pytest.approx([math.cos(0.7), -math.sin(0.7)])
+
+
+def test_flow_energy_drift_is_relative(capsys):
+    # at H(z0) of about 1e8 the absolute drift is round-off times 1e8
+    hessian = [[2.0, 0.3], [0.3, 0.5]]
+    code, out = run(capsys, "flow", "--hessian", json.dumps(hessian), "--t", "1.3",
+                    "--z0", "10000.0,-7000.0")
+    assert code == EXIT_OK
+    drift = flow_energy_drift(QuadraticHamiltonian(np.array(hessian)), [1e4, -7e3], [1.3])
+    assert json.loads(out)["energy_drift"] == drift <= 1e-14
+
+
+def test_flow_zero_point_is_input_error(capsys):
+    code, _ = run(capsys, "flow", "--hessian", "[[1.0, 0.0], [0.0, 1.0]]", "--t", "0.5",
+                  "--z0", "0.0,0.0")
+    assert code == EXIT_INPUT
 
 
 def test_out_file(tmp_path, capsys):

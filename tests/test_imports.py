@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and the
+scipy modules that only one function needs load when it first runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +29,12 @@ def unused_imports(path: Path) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_cli_import_defers_scipy_submodules():
+    lazy = ("scipy.spatial", "scipy.integrate", "scipy.optimize")
+    code = f"import sys, symcap.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

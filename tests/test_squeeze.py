@@ -1,8 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from symcap import (
     SymplecticMatrix,
@@ -15,6 +19,7 @@ from symcap import (
     random_symplectic,
     shadow_report,
 )
+from symcap.squeeze import NONSQUEEZE_BLOCK, _hull_candidates
 
 
 def shear_matrix():
@@ -155,3 +160,97 @@ def test_nonsqueeze_verify_never_raises_across_spreads():
             rep = nonsqueeze_verify(n, trials=15, seed=n, spread=spread)
             if spread <= 2.0:
                 assert not rep.violations, (n, spread)
+
+
+def reference_report(n, trials, seed, R=1.0, spread=1.0, tol=1e-9):
+    """nonsqueeze_verify(...).to_json(), one map and one plane at a time."""
+    bound = math.pi * R**2
+    rep = {"n": n, "trials": trials, "seed": seed, "violations": [], "min_ratio": math.inf,
+           "max_intersection_ratio": 0.0, "intersection_equality_cases": 0}
+    for t in range(trials):
+        S = random_symplectic(n, (seed * 1_000_003 + t) % 2**63, spread)
+        for j in range(1, n + 1):
+            p, i = projection_area(S, R, j), intersection_area(S, R, j)
+            if p / bound < rep["min_ratio"]:
+                rep["min_ratio"] = p / bound
+                rep["worst_case_matrix"] = S.entries.tolist()
+            rep["max_intersection_ratio"] = max(rep["max_intersection_ratio"], i / bound)
+            rep["intersection_equality_cases"] += abs(i - bound) <= tol * bound
+            if p < bound * (1.0 - tol) or i > p * (1.0 + tol):
+                rep["violations"].append({"trial": t, "j": j, "projection_ratio": p / bound,
+                                          "intersection_ratio": i / bound,
+                                          "matrix": S.entries.tolist()})
+    return json.dumps(rep, sort_keys=True)
+
+
+@given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**40), st.floats(0.5, 3.0))
+@settings(max_examples=25, deadline=None)
+def test_nonsqueeze_verify_matches_per_trial_loop(n, trials, seed, spread):
+    assert nonsqueeze_verify(n, trials, seed, spread=spread).to_json() == \
+        reference_report(n, trials, seed, spread=spread)
+
+
+def test_nonsqueeze_verify_across_blocks():
+    trials = NONSQUEEZE_BLOCK + 3
+    assert nonsqueeze_verify(2, trials, seed=5, R=1.7).to_json() == \
+        reference_report(2, trials, seed=5, R=1.7)
+
+
+def test_nonsqueeze_verify_planar_round_off_violations():
+    # at cond(S) ~ 2.6e8 the QR round-off of the areas passes the 1e-9 tolerance
+    rep = nonsqueeze_verify(1, 50, seed=3, spread=3.0)
+    assert len(rep.violations) == 2
+    assert rep.to_json() == reference_report(1, 50, seed=3, spread=3.0)
+
+
+def test_nonsqueeze_verify_memory_does_not_grow_with_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            nonsqueeze_verify(10, trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) <= 1.25 * peak(2_000) + 2**20
+
+
+def projected_sphere(S, R, j, samples, seed):
+    """The projected sample points mc_projection_area draws, shape (2, samples)."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(samples, 2 * S.n))
+    g *= R / np.linalg.norm(g, axis=1, keepdims=True)
+    return S.entries[[j - 1, S.n + j - 1]] @ g.T
+
+
+HULL_MAPS = [(shear_matrix(), 1)] + [(random_symplectic(n, 7 * n, spread), 1 + n // 2)
+                                     for n in (2, 3, 5, 10) for spread in (0.3, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("samples", [3, 4, 16, 10**3, 10**5])
+def test_hull_prefilter_keeps_every_vertex(samples):
+    for k, (S, j) in enumerate(HULL_MAPS):
+        pts = projected_sphere(S, 1.3, j, samples, k)
+        full = ConvexHull(pts.T)
+        keep = _hull_candidates(pts, S.entries[[j - 1, S.n + j - 1]], 1.3)
+        assert keep[full.vertices].all()
+        kept = ConvexHull(pts[:, keep].T)
+        assert sorted(map(tuple, kept.points[kept.vertices])) == \
+            sorted(map(tuple, full.points[full.vertices]))
+        # qhull's sums run in an order set by all of its input points
+        assert mc_projection_area(S, 1.3, j, samples, k) == \
+            pytest.approx(full.volume, rel=16 * np.finfo(float).eps)
+
+
+def test_hull_prefilter_drops_the_interior():
+    S = random_symplectic(2, seed=11, spread=0.3)
+    pts = projected_sphere(S, 1.0, 1, 10**5, 0)
+    assert np.count_nonzero(_hull_candidates(pts, S.entries[[0, 2]], 1.0)) < 10**4
+
+
+@pytest.mark.parametrize("S, j, seed", [(shear_matrix(), 1, 0),
+                                        (random_symplectic(2, 101, 0.6), 1, 1),
+                                        (random_symplectic(2, 1234567, 0.3), 2, 9)])
+def test_mc_projection_area_equals_full_hull_at_full_samples(S, j, seed):
+    full = ConvexHull(projected_sphere(S, 1.0, j, 10**6, seed).T)
+    assert mc_projection_area(S, 1.0, j, 10**6, seed) == full.volume

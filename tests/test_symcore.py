@@ -16,8 +16,10 @@ from symcap import (
     is_symplectic,
     quad_propagator,
     random_symplectic,
+    random_symplectic_stack,
     standard_form_matrix,
     symplectic_form,
+    validate_symplectic,
 )
 
 
@@ -110,6 +112,26 @@ def test_random_symplectic_accepts_ill_conditioned_draws():
     for seed in (113, 219):
         S = random_symplectic(1, seed=seed, spread=3.0)
         assert is_symplectic(S.entries).ok
+
+
+@given(st.integers(1, 10), st.floats(0.5, 3.0),
+       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_stacked_draw_equals_random_symplectic(n, spread, seeds):
+    stack = random_symplectic_stack(n, seeds, spread)
+    assert stack.shape == (len(seeds), 2 * n, 2 * n)
+    for S, seed in zip(stack, seeds):
+        assert S.tobytes() == random_symplectic(n, seed, spread).entries.tobytes()
+
+
+def test_validate_symplectic_checks_every_matrix_of_a_stack():
+    stack = random_symplectic_stack(2, [4, 5, 6])
+    validate_symplectic(stack)
+    stack[1] *= 1.001
+    with pytest.raises(ValidationError):
+        validate_symplectic(stack)
+    with pytest.raises(DimensionError):
+        validate_symplectic(np.zeros((2, 3, 3)))
 
 
 def test_symplectic_matrix_json_roundtrip():
