@@ -14,7 +14,6 @@ from .symcore import (
     random_symplectic_stack,
     standard_form_matrix,
     symplectic_form,
-    validate_symplectic,
 )
 from .williamson import (
     SymplecticSpectrum,

@@ -156,7 +156,11 @@ def _cmd_flow(args, cfg):
         zt = S.transform(z0)
         out["z0"] = z0.tolist()
         out["z_t"] = zt.tolist()
-        out["energy_drift"] = symcore.flow_energy_drift(H, z0, [args.t])
+        e0 = H.value(z0)
+        if e0 <= 0.0:
+            raise symcore.DegenerateInputError(
+                "H(z0) = 0: relative drift undefined for z0 = 0")
+        out["energy_drift"] = abs(H.value(zt) - e0) / e0  # as in flow_energy_drift
     _emit(json.dumps(out, sort_keys=True), args)
     return EXIT_OK
 

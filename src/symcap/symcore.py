@@ -242,12 +242,11 @@ def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
     return E[:, 0] @ E[:, 1] @ rot
 
 
-def random_symplectic_stack(n: int, seeds, spread: float = 1.0,
-                            tol: float = DEFAULT_TOL) -> np.ndarray:
+def random_symplectic_stack(n: int, seeds, spread: float = 1.0) -> np.ndarray:
     """random_symplectic(n, seed, spread).entries for every seed, as one validated
     (T, 2n, 2n) array."""
     S = _draw_symplectic(n, seeds, spread)
-    validate_symplectic(S, tol)
+    validate_symplectic(S)
     return S
 
 

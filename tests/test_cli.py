@@ -160,6 +160,20 @@ def test_flow_energy_drift_is_relative(capsys):
     assert json.loads(out)["energy_drift"] == drift <= 1e-14
 
 
+def test_flow_energy_drift_under_loose_tol(capsys):
+    # at t = 1e6 the propagator's residual is about 3e-9 |S|^2: it fails the
+    # default tol, so the drift must come from the propagator built under --tol
+    argv = ["flow", "--hessian", "[[2.0, 0.3], [0.3, 0.5]]", "--t", "1e6", "--z0", "1.0,0.5"]
+    code, _ = run(capsys, *argv)
+    assert code != EXIT_OK
+    code, out = run(capsys, "--tol", "1e-6", *argv)
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    H = QuadraticHamiltonian(np.array([[2.0, 0.3], [0.3, 0.5]]))
+    e0 = H.value(np.array([1.0, 0.5]))
+    assert obj["energy_drift"] == abs(H.value(np.array(obj["z_t"])) - e0) / e0 < 1e-6
+
+
 def test_flow_zero_point_is_input_error(capsys):
     code, _ = run(capsys, "flow", "--hessian", "[[1.0, 0.0], [0.0, 1.0]]", "--t", "0.5",
                   "--z0", "0.0,0.0")

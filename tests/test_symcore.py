@@ -19,8 +19,8 @@ from symcap import (
     random_symplectic_stack,
     standard_form_matrix,
     symplectic_form,
-    validate_symplectic,
 )
+from symcap.symcore import validate_symplectic
 
 
 def test_standard_form_matrix_convention():
