@@ -5,6 +5,8 @@ index is unchanged when the whole loop is pushed forward by a linear
 symplectic map.  Traversal count and orientation act additively.
 """
 
+import numpy as np
+
 from symcap import maslov_index, random_symplectic, torus_cycle_loop, transport_loop
 from symcap.maslov import LagrangianLoop
 
@@ -22,11 +24,11 @@ def main():
         print(f"after random symplectic transport (seed {seed}): "
               f"index {maslov_index(moved).index}")
 
-    reversed_loop = LagrangianLoop(tuple(reversed(loop.frames)), loop.ts)
+    reversed_loop = LagrangianLoop(loop.frames[::-1], loop.ts)
     print("reversed orientation:", maslov_index(reversed_loop).index)
 
-    frames = loop.frames + loop.frames[1:]
-    ts = tuple(float(t) for t in range(len(frames)))
+    frames = np.concatenate([loop.frames, loop.frames[1:]])
+    ts = range(len(frames))
     print("double traversal:", maslov_index(LagrangianLoop(frames, ts)).index)
 
 

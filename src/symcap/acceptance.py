@@ -200,9 +200,9 @@ def check_maslov(cfg: AcceptanceConfig) -> CheckResult:
             res = maslov.maslov_index(maslov.torus_cycle_loop(radii, j, samples=64))
             if res.index != 2 or res.index % 2:
                 return CheckResult("maslov", False, f"torus cycle (n={n}, j={j}) index {res.index}")
+    loop = maslov.torus_cycle_loop([1.0, 2.0], 1, samples=96)
     for k in range(50):
         S = symcore.random_symplectic(2, cfg.seed + 300 + k, 0.7)
-        loop = maslov.torus_cycle_loop([1.0, 2.0], 1, samples=96)
         if maslov.maslov_index(maslov.transport_loop(loop, S)).index != 2:
             return CheckResult("maslov", False, f"transport by seed {cfg.seed + 300 + k} changed index")
     coarse = maslov.maslov_index(maslov.torus_cycle_loop([1.0, 2.0], 1, samples=32))

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,17 @@ class RunConfig:
             raise symcore.ValidationError(f"unknown format {self.output_format!r}")
 
 
-def _env(name, cast, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
+def _parse(name: str, raw: str, cast=float):
+    """cast(raw); a malformed value is an input error naming its flag or variable."""
     try:
         return cast(raw)
     except ValueError as exc:
         raise symcore.ValidationError(f"bad {name}={raw!r}: {exc}") from exc
+
+
+def _env(name, cast, default):
+    raw = os.environ.get(name)
+    return default if raw is None else _parse(name, raw, cast)
 
 
 def _config(args) -> RunConfig:
@@ -103,23 +106,22 @@ def _cmd_maslov(args, cfg):
         with open(args.loop) as fh:
             loop = maslov.LagrangianLoop.from_json(fh.read())
     elif args.torus:
-        radii = [float(r) for r in args.torus.split(",")]
+        radii = [_parse("--torus", r) for r in args.torus.split(",")]
         loop = maslov.torus_cycle_loop(radii, args.cycle, samples=args.loop_samples)
     else:
         raise symcore.ValidationError("provide --loop FILE or --torus R1,R2,...")
     res = maslov.maslov_index(loop)
-    _emit(json.dumps({"index": res.index, "raw_winding": res.raw_winding,
-                      "refinement_depth": res.refinement_depth}, sort_keys=True), args)
+    _emit(json.dumps(asdict(res), sort_keys=True), args)
     return EXIT_OK
 
 
 def _parse_action_hamiltonian(spec: str, n: int) -> ebk.ActionHamiltonian:
     kind, _, payload = spec.partition(":")
     if kind == "oscillator":
-        omegas = [float(w) for w in payload.split(",")]
+        omegas = [_parse("--K", w) for w in payload.split(",")]
         return ebk.oscillator_hamiltonian(omegas)
     if kind == "power":
-        a = float(payload)
+        a = _parse("--K", payload)
         return ebk.ActionHamiltonian(K=lambda I: float(np.sum(I**a)), n=n,
                                      monotone=a > 0)
     if kind == "table":
@@ -135,7 +137,7 @@ def _parse_action_hamiltonian(spec: str, n: int) -> ebk.ActionHamiltonian:
 
 
 def _cmd_ebk(args, cfg):
-    maslov_tuple = tuple(int(m) for m in args.maslov.split(","))
+    maslov_tuple = tuple(_parse("--maslov", m, int) for m in args.maslov.split(","))
     K = _parse_action_hamiltonian(args.K, len(maslov_tuple))
     spec = ebk.energy_levels(K, maslov_tuple, args.Nmax, hbar=cfg.hbar)
     if cfg.output_format == "csv":
@@ -152,7 +154,7 @@ def _cmd_flow(args, cfg):
     S = symcore.quad_propagator(H, args.t, tol=cfg.tol)
     out = {"propagator": json.loads(S.to_json()), "t": args.t}
     if args.z0:
-        z0 = np.asarray([float(v) for v in args.z0.split(",")])
+        z0 = np.asarray([_parse("--z0", v) for v in args.z0.split(",")])
         zt = S.transform(z0)
         out["z0"] = z0.tolist()
         out["z_t"] = zt.tolist()

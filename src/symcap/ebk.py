@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .regions import SolidTorus, capacity
 from .symcore import DegenerateInputError, ValidationError, write_csv
 
 
@@ -196,14 +195,13 @@ class CapacityCheck:
 
 
 def capacity_condition(entry: EBKLevel, hbar: float = 1.0) -> CapacityCheck:
-    """Check c(solid torus of the entry) >= h/2 = pi hbar.
+    """Check c(solid torus of the entry) = pi min_j R_j^2 >= h/2 = pi hbar.
 
+    It is the least plane area of projection_area_bound (rounding is monotone).
     For even Maslov indices m_j >= 2 this holds automatically, since
     R_j^2 = (2 N_j + m_j/2) hbar >= hbar.
     """
-    if entry.radii is None or len(entry.radii) == 0:
-        raise ValidationError("spectrum entry has no torus radii")
-    value = capacity(SolidTorus(tuple(entry.radii))).value
+    value = min(check.area for check in projection_area_bound(entry, hbar))
     half_h = math.pi * hbar
     return CapacityCheck(capacity=value, satisfied=value >= half_h - 1e-12)
 
@@ -240,12 +238,13 @@ class PlaneAreaCheck:
 
 def projection_area_bound(entry: EBKLevel, hbar: float = 1.0):
     """Per-plane check that the torus shadow area pi R_j^2 is >= h/2."""
-    if entry.radii is None or len(entry.radii) == 0:
-        raise ValidationError("spectrum entry has no torus radii")
+    radii = () if entry.radii is None else tuple(float(r) for r in entry.radii)
+    if not radii or min(radii) <= 0:
+        raise ValidationError(f"spectrum entry needs torus radii > 0, got {radii}")
     half_h = math.pi * hbar
     return [PlaneAreaCheck(j=j + 1, area=math.pi * r**2,
                            satisfied=math.pi * r**2 >= half_h - 1e-12)
-            for j, r in enumerate(entry.radii)]
+            for j, r in enumerate(radii)]
 
 
 # --- 1D action quadrature ----------------------------------------------------

@@ -5,6 +5,7 @@ X^T P symmetric and full rank.  Orthonormalizing the frame makes U = X + iP
 unitary, and the plane is identified with the symmetric unitary matrix
 w = (X + iP)(X - iP)^{-1} = U U^T, which depends on the plane only.  The
 Maslov index of a closed loop of planes is the winding number of det w(t).
+A loop stores its K frames as one array of shape (K, 2n, n).
 """
 
 from __future__ import annotations
@@ -29,6 +30,25 @@ class SamplingTooCoarseError(RuntimeError):
     """Phase steps stayed >= pi/2 after exhausting refinement depth."""
 
 
+def validate_frames(frames: np.ndarray) -> None:
+    """Raise unless every frame [X; P] of the stack (K, 2n, n) spans a Lagrangian plane.
+
+    A frame must have full rank (sigma_min > 1e-10 sigma_max) and be isotropic:
+    max|X^T P - P^T X| <= 1e-10 (|X|_2 + |P|_2)^2.
+    """
+    if frames.ndim != 3 or frames.shape[2] < 1 or frames.shape[1] != 2 * frames.shape[2]:
+        raise DimensionError(f"frames must have shape (K, 2n, n), got {frames.shape}")
+    X, P = np.split(frames, 2, axis=1)
+    svals = np.linalg.svd(frames, compute_uv=False)
+    if np.any(svals[:, -1] <= 1e-10 * svals[:, 0]):
+        raise ValidationError("frame is rank deficient")
+    iso = np.max(np.abs(np.swapaxes(X, 1, 2) @ P - np.swapaxes(P, 1, 2) @ X), axis=(1, 2))
+    scale = (np.linalg.norm(X, 2, axis=(1, 2)) + np.linalg.norm(P, 2, axis=(1, 2))) ** 2
+    bad = iso > 1e-10 * scale
+    if np.any(bad):
+        raise ValidationError(f"frame is not Lagrangian: isotropy residual {iso[bad][0]:.3e}")
+
+
 @dataclass(frozen=True)
 class LagrangianFrame:
     """A frame [X; P] spanning a Lagrangian plane."""
@@ -45,27 +65,18 @@ class LagrangianFrame:
         object.__setattr__(self, "P", P)
         if X.shape != P.shape or X.shape[0] != X.shape[1]:
             raise DimensionError(f"X and P must be equal square matrices, got {X.shape}, {P.shape}")
-        stacked = np.vstack([X, P])
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        if svals[-1] <= 1e-10 * svals[0]:
-            raise ValidationError("frame is rank deficient")
-        sX = np.linalg.norm(X, 2)
-        sP = np.linalg.norm(P, 2)
-        iso = np.max(np.abs(X.T @ P - P.T @ X))
-        if iso > 1e-10 * (sX + sP) ** 2:
-            raise ValidationError(f"frame is not Lagrangian: isotropy residual {iso:.3e}")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
+        validate_frames(self.stacked()[None])
 
     def stacked(self) -> np.ndarray:
         return np.vstack([self.X, self.P])
 
-    def orthonormal(self) -> np.ndarray:
-        """Orthonormal representative of the same plane."""
-        Q, _ = np.linalg.qr(self.stacked())
-        return Q
+
+def _souriau(frames: np.ndarray):
+    """Orthonormal frames Q and w = U U^T, U = Q[:n] + iQ[n:], of a stack (K, 2n, n)."""
+    Q, _ = np.linalg.qr(frames)
+    n = frames.shape[2]
+    U = Q[:, :n] + 1j * Q[:, n:]
+    return Q, U @ np.swapaxes(U, 1, 2)
 
 
 def souriau_map(frame: LagrangianFrame) -> np.ndarray:
@@ -74,29 +85,28 @@ def souriau_map(frame: LagrangianFrame) -> np.ndarray:
     Computed from an orthonormal representative as U U^T with U = X + iP,
     which is manifestly symmetric and unitary and frame-independent.
     """
-    Q = frame.orthonormal()
-    n = frame.n
-    U = Q[:n] + 1j * Q[n:]
-    return U @ U.T
+    return _souriau(frame.stacked()[None])[1][0]
 
 
 @dataclass(frozen=True)
 class LagrangianLoop:
-    """A closed sampled path of Lagrangian frames at parameters ts."""
+    """A closed sampled path of Lagrangian frames, stacked as (K, 2n, n), at parameters ts."""
 
-    frames: tuple
+    frames: np.ndarray
     ts: tuple
 
     def __post_init__(self):
-        frames = tuple(self.frames)
+        frames = np.array(self.frames, dtype=float)
+        frames.setflags(write=False)
         ts = tuple(float(t) for t in self.ts)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "ts", ts)
+        validate_frames(frames)
         if len(frames) < 2 or len(frames) != len(ts):
             raise ValidationError("loop needs >= 2 frames with matching parameters")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValidationError("loop parameters must be strictly increasing")
-        angles = subspace_angles(frames[0].stacked(), frames[-1].stacked())
+        angles = subspace_angles(frames[0], frames[-1])
         if np.max(angles, initial=0.0) > CLOSURE_TOL:
             raise ClosureError(
                 f"endpoint planes differ by principal angle {np.max(angles):.3e}"
@@ -104,21 +114,23 @@ class LagrangianLoop:
 
     @property
     def n(self) -> int:
-        return self.frames[0].n
+        return self.frames.shape[2]
 
     def to_json(self) -> str:
         return json.dumps({
             "n": self.n,
-            "frames": [{"X": f.X.tolist(), "P": f.P.tolist(), "t": t}
-                       for f, t in zip(self.frames, self.ts)],
+            "frames": [{"X": F[:self.n].tolist(), "P": F[self.n:].tolist(), "t": t}
+                       for F, t in zip(self.frames, self.ts)],
         }, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LagrangianLoop":
-        obj = json.loads(text)
-        frames = [LagrangianFrame(rec["X"], rec["P"]) for rec in obj["frames"]]
-        ts = [rec["t"] for rec in obj["frames"]]
-        return cls(tuple(frames), tuple(ts))
+        records = json.loads(text)["frames"]
+        X = np.array([rec["X"] for rec in records], dtype=float)
+        P = np.array([rec["P"] for rec in records], dtype=float)
+        if X.ndim != 3 or X.shape != P.shape or X.shape[1] != X.shape[2]:
+            raise DimensionError(f"X and P must be equal square matrices, got {X.shape}, {P.shape}")
+        return cls(np.concatenate([X, P], axis=1), [rec["t"] for rec in records])
 
 
 @dataclass(frozen=True)
@@ -128,26 +140,25 @@ class MaslovResult:
     refinement_depth: int
 
 
-def _interp_frame(f0: LagrangianFrame, f1: LagrangianFrame, s: float) -> LagrangianFrame:
-    """Midpoint-style Lagrangian frame between two nearby planes.
+def _interp_frame(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Lagrangian frame midway between the planes of orthonormal frames q0, q1.
 
     Linear interpolation of U = X + iP followed by polar projection back to
     the unitary group, which is exactly a Lagrangian frame.
     """
-    n = f0.n
-    q0, q1 = f0.orthonormal(), f1.orthonormal()
+    n = q0.shape[1]
     U0 = q0[:n] + 1j * q0[n:]
     U1 = q1[:n] + 1j * q1[n:]
     # align the (real orthogonal) frame gauge so the chord stays short
     u, _, vh = np.linalg.svd((U1.conj().T @ U0).real)
     U1 = U1 @ (u @ vh)
-    Um = (1.0 - s) * U0 + s * U1
-    u, _, vh = np.linalg.svd(Um)
+    u, _, vh = np.linalg.svd(0.5 * U0 + 0.5 * U1)
     U = u @ vh
-    return LagrangianFrame(U.real, U.imag)
+    return np.vstack([U.real, U.imag])
 
 
-def _phase_step(f0, f1, w0_det, w1_det, depth, max_depth):
+def _phase_step(q0, q1, w0_det, w1_det, depth, max_depth):
+    """Phase of det w from orthonormal frame q0 to q1, bisecting steps >= pi/2."""
     step = np.angle(w1_det * np.conj(w0_det))
     if abs(step) < np.pi / 2:
         return step, depth
@@ -155,10 +166,10 @@ def _phase_step(f0, f1, w0_det, w1_det, depth, max_depth):
         raise SamplingTooCoarseError(
             "det-phase step stayed >= pi/2 after refinement; sample the loop more densely"
         )
-    fm = _interp_frame(f0, f1, 0.5)
-    wm_det = np.linalg.det(souriau_map(fm))
-    a, d1 = _phase_step(f0, fm, w0_det, wm_det, depth + 1, max_depth)
-    b, d2 = _phase_step(fm, f1, wm_det, w1_det, depth + 1, max_depth)
+    (qm,), (wm,) = _souriau(_interp_frame(q0, q1)[None])
+    wm_det = np.linalg.det(wm)
+    a, d1 = _phase_step(q0, qm, w0_det, wm_det, depth + 1, max_depth)
+    b, d2 = _phase_step(qm, q1, wm_det, w1_det, depth + 1, max_depth)
     return a + b, max(d1, d2)
 
 
@@ -170,12 +181,12 @@ def maslov_index(loop: LagrangianLoop, max_depth: int = 20) -> MaslovResult:
     Refuses (rather than rounds) when the raw winding is farther than 0.1
     from the nearest integer.
     """
-    dets = [np.linalg.det(souriau_map(f)) for f in loop.frames]
+    Q, w = _souriau(loop.frames)
+    dets = np.linalg.det(w)
     total = 0.0
     depth = 0
-    for k in range(len(loop.frames) - 1):
-        step, d = _phase_step(loop.frames[k], loop.frames[k + 1],
-                              dets[k], dets[k + 1], 0, max_depth)
+    for k in range(len(dets) - 1):
+        step, d = _phase_step(Q[k], Q[k + 1], dets[k], dets[k + 1], 0, max_depth)
         total += step
         depth = max(depth, d)
     raw = total / (2.0 * np.pi)
@@ -194,32 +205,25 @@ def torus_cycle_loop(radii, j: int, samples: int = 64) -> LagrangianLoop:
     tangent column i is the derivative in theta_i.  Along the basic cycle,
     theta_j sweeps [0, 2 pi] while the other angles stay at 0.
     """
-    radii = [float(r) for r in radii]
+    radii = np.array([float(r) for r in radii])
     n = len(radii)
     plane_indices(n, j)
     if samples < 16:
         raise ValidationError(f"need samples >= 16, got {samples}")
     if any(r <= 0 for r in radii):
         raise ValidationError("torus radii must be > 0")
-    frames, ts = [], []
-    for k in range(samples + 1):
-        t = 2.0 * np.pi * k / samples
-        theta = np.zeros(n)
-        theta[j - 1] = t
-        X = np.diag(-np.asarray(radii) * np.sin(theta))
-        P = np.diag(np.asarray(radii) * np.cos(theta))
-        frames.append(LagrangianFrame(X, P))
-        ts.append(t)
-    return LagrangianLoop(tuple(frames), tuple(ts))
+    ts = 2.0 * np.pi * np.arange(samples + 1) / samples
+    theta = np.zeros((samples + 1, n))
+    theta[:, j - 1] = ts
+    i = np.arange(n)
+    frames = np.zeros((samples + 1, 2 * n, n))
+    frames[:, i, i] = -radii * np.sin(theta)
+    frames[:, n + i, i] = radii * np.cos(theta)
+    return LagrangianLoop(frames, ts)
 
 
 def transport_loop(loop: LagrangianLoop, S: SymplecticMatrix) -> LagrangianLoop:
     """Frame-wise image of the loop under a fixed linear symplectomorphism."""
     if S.n != loop.n:
         raise DimensionError("map dimension does not match the loop")
-    n = loop.n
-    frames = []
-    for f in loop.frames:
-        F = S.entries @ f.stacked()
-        frames.append(LagrangianFrame(F[:n], F[n:]))
-    return LagrangianLoop(tuple(frames), loop.ts)
+    return LagrangianLoop(S.entries @ loop.frames, loop.ts)

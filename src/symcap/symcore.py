@@ -60,7 +60,7 @@ def validate_posdef(R) -> np.ndarray:
         raise ValidationError("matrix is not symmetric")
     w = np.linalg.eigvalsh(R)
     if w[0] < 1e-12 * scale:
-        raise ValidationError(f"matrix is not positive definite: eigenvalue {w[0]!r}")
+        raise ValidationError(f"matrix is not positive definite: eigenvalue {float(w[0])!r}")
     return (R + R.T) / 2.0
 
 

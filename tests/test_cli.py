@@ -206,3 +206,17 @@ def test_samples_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         dispatch(["--samples", "5", "capacity", "--region", '{"variant": "Ball", "R": 1}'])
     assert exc.value.code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["maslov", "--torus", "1.0,x"], "--torus"),
+    (["flow", "--hessian", "[[1,0],[0,1]]", "--t", "1", "--z0", "1,x"], "--z0"),
+    (["ebk", "--K", "oscillator:1", "--maslov", "2,x", "--Nmax", "1"], "--maslov"),
+    (["ebk", "--K", "oscillator:x", "--maslov", "2", "--Nmax", "1"], "--K"),
+    (["ebk", "--K", "power:y", "--maslov", "2", "--Nmax", "1"], "--K"),
+    (["ebk", "--K", "power:1,2", "--maslov", "2", "--Nmax", "1"], "--K"),
+])
+def test_malformed_comma_list_is_input_error(capsys, argv, flag):
+    assert dispatch(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err

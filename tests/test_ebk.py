@@ -118,6 +118,16 @@ def test_capacity_condition_non_quantized_torus():
     assert not check.satisfied
 
 
+@pytest.mark.parametrize("radii", [None, [], [1.0, 0.0], [-1.0]])
+@pytest.mark.parametrize("check", [capacity_condition, projection_area_bound])
+def test_radii_checks_need_positive_radii(check, radii):
+    from symcap.ebk import EBKLevel
+    entry = EBKLevel(N=(0, 0), maslov=(2, 2), actions=np.array([0.5, 0.5]),
+                     radii=None if radii is None else np.array(radii), energy=1.0)
+    with pytest.raises(ValidationError):
+        check(entry, hbar=1.0)
+
+
 def test_verify_energy_bound_oscillator():
     omegas = np.array([1.0, 0.5])
     K = oscillator_hamiltonian(omegas)

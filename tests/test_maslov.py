@@ -1,12 +1,17 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcap import (
+    DimensionError,
     LagrangianFrame,
     LagrangianLoop,
+    MaslovResult,
     ValidationError,
     maslov_index,
     random_symplectic,
@@ -17,8 +22,16 @@ from symcap import (
 from symcap.maslov import ClosureError, SamplingTooCoarseError
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def circle_frame(t):
     return LagrangianFrame([[-math.sin(t)]], [[math.cos(t)]])
+
+
+def circle_frames(ts):
+    """Stacked unit-circle tangent frames [-sin t; cos t], shape (K, 2, 1)."""
+    return np.stack([circle_frame(t).stacked() for t in ts])
 
 
 def test_souriau_horizontal_plane():
@@ -70,8 +83,7 @@ def test_rank_deficient_frame_rejected():
 
 
 def test_constant_loop_index_zero():
-    frame = circle_frame(0.3)
-    loop = LagrangianLoop((frame,) * 5, (0.0, 1.0, 2.0, 3.0, 4.0))
+    loop = LagrangianLoop(circle_frames([0.3] * 5), (0.0, 1.0, 2.0, 3.0, 4.0))
     assert maslov_index(loop).index == 0
 
 
@@ -100,8 +112,7 @@ def test_transport_identity():
     from symcap import SymplecticMatrix
     loop = torus_cycle_loop([1.0, 2.0], 1)
     moved = transport_loop(loop, SymplecticMatrix(np.eye(4)))
-    assert all(np.array_equal(a.X, b.X) and np.array_equal(a.P, b.P)
-               for a, b in zip(loop.frames, moved.frames))
+    assert np.array_equal(loop.frames, moved.frames)
 
 
 def test_transport_diag_squeeze():
@@ -121,13 +132,13 @@ def test_transport_random_invariance():
 def test_reversal_negates_index():
     loop = torus_cycle_loop([1.0], 1, samples=64)
     ts = loop.ts
-    reversed_loop = LagrangianLoop(tuple(reversed(loop.frames)), ts)
+    reversed_loop = LagrangianLoop(loop.frames[::-1], ts)
     assert maslov_index(reversed_loop).index == -2
 
 
 def test_k_fold_traversal():
     base = torus_cycle_loop([1.0], 1, samples=64)
-    frames = base.frames + base.frames[1:] + base.frames[1:]
+    frames = np.concatenate([base.frames, base.frames[1:], base.frames[1:]])
     ts = tuple(np.linspace(0.0, 3.0, len(frames)))
     assert maslov_index(LagrangianLoop(frames, ts)).index == 6
 
@@ -140,17 +151,15 @@ def test_coarse_loop_refines():
 
 
 def test_open_path_rejected():
-    frames = tuple(circle_frame(t) for t in np.linspace(0.0, 1.0, 8))
+    frames = circle_frames(np.linspace(0.0, 1.0, 8))
     with pytest.raises(ClosureError):
         LagrangianLoop(frames, tuple(np.linspace(0.0, 1.0, 8)))
 
 
-def test_two_frame_antipodal_loop_too_coarse():
-    # same plane at both ends but a half-turn ambiguity in between cannot be
-    # resolved: interpolation keeps every step below pi/2 and yields 0 here,
-    # so build a genuinely ambiguous 2-point loop and expect a clean answer
-    loop = LagrangianLoop((circle_frame(0.0), circle_frame(math.pi)),
-                          (0.0, 1.0))
+def test_two_frame_loop_with_antipodal_frames_has_index_zero():
+    # the frames at t = 0 and t = pi are opposite vectors spanning the same
+    # plane, so det w agrees at both ends: the two-sample loop stands still
+    loop = LagrangianLoop(circle_frames([0.0, math.pi]), (0.0, 1.0))
     res = maslov_index(loop)
     assert res.index == 0  # shortest homotopy representative
 
@@ -169,3 +178,98 @@ def test_torus_loop_validation():
         torus_cycle_loop([1.0], 1, samples=8)
     with pytest.raises(ValidationError):
         torus_cycle_loop([-1.0], 1)
+
+
+def test_torus_loop_json_golden():
+    golden = (DATA / "torus_loop_n2_j2_16.json").read_text()
+    assert torus_cycle_loop([1.0, 2.0], 2, samples=16).to_json() + "\n" == golden
+    assert LagrangianLoop.from_json(golden).to_json() + "\n" == golden
+
+
+def test_loop_json_rejects_mismatched_blocks():
+    text = ('{"n": 1, "frames": [{"X": [[1.0, 0.0], [0.0, 1.0]], "P": [[0.0]], "t": 0.0},'
+            ' {"X": [[1.0, 0.0], [0.0, 1.0]], "P": [[0.0]], "t": 1.0}]}')
+    with pytest.raises(DimensionError):
+        LagrangianLoop.from_json(text)
+
+
+@pytest.mark.parametrize("X, P", [
+    (np.zeros((2, 2)), np.diag([1.0, 0.0])),             # rank deficient
+    (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])),      # not Lagrangian
+])
+def test_loop_rejects_one_bad_frame_mid_loop(X, P):
+    with pytest.raises(ValidationError) as lone:
+        LagrangianFrame(X, P)
+    frames = torus_cycle_loop([1.0, 2.0], 1, samples=16).frames.copy()
+    frames[8] = np.vstack([X, P])
+    with pytest.raises(ValidationError) as looped:
+        LagrangianLoop(frames, range(len(frames)))
+    assert str(looped.value) == str(lone.value)
+
+
+def reference_maslov_index(frames, max_depth=20):
+    """maslov_index one frame at a time: a QR, U U^T and det per frame and per
+    bisection midpoint, and the phase steps summed left to right."""
+    n = frames.shape[2]
+
+    def orthonormal(F):
+        return np.linalg.qr(F)[0]
+
+    def det_w(F):
+        Q = orthonormal(F)
+        U = Q[:n] + 1j * Q[n:]
+        return np.linalg.det(U @ U.T)
+
+    def midpoint(F0, F1):
+        q0, q1 = orthonormal(F0), orthonormal(F1)
+        U0 = q0[:n] + 1j * q0[n:]
+        U1 = q1[:n] + 1j * q1[n:]
+        u, _, vh = np.linalg.svd((U1.conj().T @ U0).real)
+        U1 = U1 @ (u @ vh)
+        u, _, vh = np.linalg.svd((1.0 - 0.5) * U0 + 0.5 * U1)
+        U = u @ vh
+        return np.vstack([U.real, U.imag])
+
+    def phase_step(F0, F1, d0, d1, depth):
+        step = np.angle(d1 * np.conj(d0))
+        if abs(step) < np.pi / 2:
+            return step, depth
+        if depth >= max_depth:
+            raise SamplingTooCoarseError("too coarse")
+        Fm = midpoint(F0, F1)
+        dm = det_w(Fm)
+        a, da = phase_step(F0, Fm, d0, dm, depth + 1)
+        b, db = phase_step(Fm, F1, dm, d1, depth + 1)
+        return a + b, max(da, db)
+
+    dets = [det_w(F) for F in frames]
+    total, depth = 0.0, 0
+    for k in range(len(frames) - 1):
+        step, d = phase_step(frames[k], frames[k + 1], dets[k], dets[k + 1], 0)
+        total += step
+        depth = max(depth, d)
+    raw = total / (2.0 * np.pi)
+    index = int(round(raw))
+    if abs(raw - index) >= 0.1:
+        raise SamplingTooCoarseError("not near an integer")
+    return MaslovResult(index=index, raw_winding=raw, refinement_depth=depth)
+
+
+@given(st.integers(1, 6), st.integers(16, 96), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.floats(0.3, 0.7)), st.booleans(), st.sampled_from([1, 3]))
+@settings(max_examples=40, deadline=None)
+def test_maslov_index_matches_per_frame_reference(n, samples, seed, spread, reverse, folds):
+    rng = np.random.default_rng(seed)
+    loop = torus_cycle_loop(rng.uniform(0.5, 2.0, n), int(rng.integers(1, n + 1)), samples)
+    if spread is not None:
+        loop = transport_loop(loop, random_symplectic(n, seed, spread))
+    frames = loop.frames[::-1] if reverse else loop.frames
+    frames = np.concatenate([frames] + [frames[1:]] * (folds - 1))
+    loop = LagrangianLoop(frames, range(len(frames)))
+    try:
+        expected = reference_maslov_index(frames)
+    except SamplingTooCoarseError:
+        with pytest.raises(SamplingTooCoarseError):
+            maslov_index(loop)
+        return
+    assert maslov_index(loop) == expected

@@ -152,8 +152,9 @@ def test_symplectic_matrix_json_strict_shape():
 def test_quadratic_hamiltonian_validation():
     with pytest.raises(ValidationError):
         QuadraticHamiltonian(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="eigenvalue -1.0$") as info:
         QuadraticHamiltonian(np.diag([1.0, -1.0]))
+    assert "np.float64" not in str(info.value)
 
 
 def test_propagator_rotation():
