@@ -4,16 +4,18 @@ Subcommands: spectrum, capacity, squeeze, maslov, ebk, flow, selftest.
 Global flags --hbar/--tol/--seed/--format/--out; environment variables
 SYMCAP_HBAR, SYMCAP_TOL, SYMCAP_SEED, SYMCAP_FORMAT supply defaults, with
 flags taking precedence.  Exit codes: 0 success, 1 verification failure,
-2 input error.
+2 input error (a malformed flag, environment value or JSON value, or a file
+that cannot be read or written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,41 +26,26 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-@dataclass
-class RunConfig:
-    hbar: float = 1.0
-    tol: float = 1e-9
-    seed: int = 0
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if not (self.hbar > 0 and self.tol > 0):
-            raise symcore.ValidationError("hbar and tol must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise symcore.ValidationError(f"unknown format {self.output_format!r}")
-
-
 def _parse(name: str, raw: str, cast=float):
     """cast(raw); a malformed value is an input error naming its flag or variable."""
     try:
         return cast(raw)
     except ValueError as exc:
-        raise symcore.ValidationError(f"bad {name}={raw!r}: {exc}") from exc
+        raise ValueError(f"bad {name}={raw!r}: {exc}") from exc
 
 
-def _env(name, cast, default):
-    raw = os.environ.get(name)
-    return default if raw is None else _parse(name, raw, cast)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        hbar=args.hbar if args.hbar is not None else _env("SYMCAP_HBAR", float, 1.0),
-        tol=args.tol if args.tol is not None else _env("SYMCAP_TOL", float, 1e-9),
-        seed=args.seed if args.seed is not None else _env("SYMCAP_SEED", int, 0),
-        output_format=args.format if args.format is not None
-        else _env("SYMCAP_FORMAT", str, "json"),
-    )
+def _config(args):
+    """Fill args.hbar/tol/seed/format from the flag, else SYMCAP_*, else the default."""
+    for name, cast, default in (("hbar", float, 1.0), ("tol", float, symcore.DEFAULT_TOL),
+                                ("seed", int, 0), ("format", str, "json")):
+        var = "SYMCAP_" + name.upper()
+        if getattr(args, name) is None:
+            raw = os.environ.get(var)
+            setattr(args, name, default if raw is None else _parse(var, raw, cast))
+    if not (0 < args.hbar < math.inf and 0 < args.tol < math.inf):
+        raise ValueError("hbar and tol must be positive and finite")
+    if args.format not in ("json", "csv"):
+        raise ValueError(f"unknown format {args.format!r}")
 
 
 def _emit(text: str, args):
@@ -69,18 +56,18 @@ def _emit(text: str, args):
         print(text)
 
 
-def _load_matrix_arg(raw: str) -> dict:
+def _hessian(raw: str) -> np.ndarray:
+    """--hessian: a JSON file or argument holding the rows, bare or as {"rows": ...}."""
     if os.path.exists(raw):
         with open(raw) as fh:
-            return json.load(fh)
-    return json.loads(raw)
+            raw = fh.read()
+    obj = json.loads(raw)
+    return np.asarray(obj["rows"] if isinstance(obj, dict) else obj, dtype=float)
 
 
-def _cmd_spectrum(args, cfg):
-    obj = _load_matrix_arg(args.hessian)
-    R = np.asarray(obj["rows"] if isinstance(obj, dict) else obj, dtype=float)
-    spec = williamson.symplectic_spectrum(R)
-    if cfg.output_format == "csv":
+def _cmd_spectrum(args):
+    spec = williamson.symplectic_spectrum(_hessian(args.hessian))
+    if args.format == "csv":
         _emit(spec.to_csv(), args)
     else:
         _emit(json.dumps({"mu": spec.mu.tolist(), "radii": spec.radii.tolist(),
@@ -88,20 +75,20 @@ def _cmd_spectrum(args, cfg):
     return EXIT_OK
 
 
-def _cmd_capacity(args, cfg):
+def _cmd_capacity(args):
     region = regions.region_from_json(args.region)
     _emit(regions.capacity(region).to_json(), args)
     return EXIT_OK
 
 
-def _cmd_squeeze(args, cfg):
-    report = squeeze.nonsqueeze_verify(args.n, trials=args.trials, seed=cfg.seed,
-                                       tol=cfg.tol)
+def _cmd_squeeze(args):
+    report = squeeze.nonsqueeze_verify(args.n, trials=args.trials, seed=args.seed,
+                                       tol=args.tol)
     _emit(report.to_json(), args)
     return EXIT_OK if not report.violations else EXIT_VERIFICATION
 
 
-def _cmd_maslov(args, cfg):
+def _cmd_maslov(args):
     if args.loop:
         with open(args.loop) as fh:
             loop = maslov.LagrangianLoop.from_json(fh.read())
@@ -109,7 +96,7 @@ def _cmd_maslov(args, cfg):
         radii = [_parse("--torus", r) for r in args.torus.split(",")]
         loop = maslov.torus_cycle_loop(radii, args.cycle, samples=args.loop_samples)
     else:
-        raise symcore.ValidationError("provide --loop FILE or --torus R1,R2,...")
+        raise ValueError("provide --loop FILE or --torus R1,R2,...")
     res = maslov.maslov_index(loop)
     _emit(json.dumps(asdict(res), sort_keys=True), args)
     return EXIT_OK
@@ -133,43 +120,35 @@ def _parse_action_hamiltonian(spec: str, n: int) -> ebk.ActionHamiltonian:
         return ebk.ActionHamiltonian(
             K=lambda I: float(np.interp(I[0], grid, vals)), n=1,
             monotone=bool(np.all(np.diff(vals) > 0)))
-    raise symcore.ValidationError(f"unknown K spec {spec!r}")
+    raise ValueError(f"unknown K spec {spec!r}")
 
 
-def _cmd_ebk(args, cfg):
+def _cmd_ebk(args):
     maslov_tuple = tuple(_parse("--maslov", m, int) for m in args.maslov.split(","))
     K = _parse_action_hamiltonian(args.K, len(maslov_tuple))
-    spec = ebk.energy_levels(K, maslov_tuple, args.Nmax, hbar=cfg.hbar)
-    if cfg.output_format == "csv":
+    spec = ebk.energy_levels(K, maslov_tuple, args.Nmax, hbar=args.hbar)
+    if args.format == "csv":
         _emit(spec.to_csv(), args)
     else:
         _emit(spec.to_json(), args)
     return EXIT_OK
 
 
-def _cmd_flow(args, cfg):
-    obj = _load_matrix_arg(args.hessian)
-    R = np.asarray(obj["rows"] if isinstance(obj, dict) else obj, dtype=float)
-    H = symcore.QuadraticHamiltonian(R)
-    S = symcore.quad_propagator(H, args.t, tol=cfg.tol)
-    out = {"propagator": json.loads(S.to_json()), "t": args.t}
+def _cmd_flow(args):
+    H = symcore.QuadraticHamiltonian(_hessian(args.hessian))
+    S = symcore.quad_propagator(H, args.t, tol=args.tol)
+    out = {"propagator": S.to_dict(), "t": args.t}
     if args.z0:
         z0 = np.asarray([_parse("--z0", v) for v in args.z0.split(",")])
         zt = S.transform(z0)
-        out["z0"] = z0.tolist()
-        out["z_t"] = zt.tolist()
-        e0 = H.value(z0)
-        if e0 <= 0.0:
-            raise symcore.DegenerateInputError(
-                "H(z0) = 0: relative drift undefined for z0 = 0")
-        out["energy_drift"] = abs(H.value(zt) - e0) / e0  # as in flow_energy_drift
+        out.update(z0=z0.tolist(), z_t=zt.tolist(), energy_drift=H.drift(z0, zt))
     _emit(json.dumps(out, sort_keys=True), args)
     return EXIT_OK
 
 
-def _cmd_selftest(args, cfg):
+def _cmd_selftest(args):
     results = acceptance.run_all(acceptance.AcceptanceConfig(
-        hbar=cfg.hbar, tol=cfg.tol, seed=cfg.seed))
+        hbar=args.hbar, tol=args.tol, seed=args.seed))
     lines = []
     failures = 0
     for res in results:
@@ -231,14 +210,10 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args)
-        return args.func(args, cfg)
-    except (symcore.ValidationError, symcore.DimensionError,
-            symcore.DegenerateInputError, regions.UnsupportedCombinationError,
-            regions.InconsistentCertificateError, ebk.InvalidMaslovError,
-            ebk.TheoremHypothesisError, ebk.NonCompactOrbitError,
-            maslov.ClosureError, json.JSONDecodeError, FileNotFoundError,
-            KeyError) as exc:
+        _config(args)
+        return args.func(args)
+    # symcap/JSON/LinAlg errors are ValueErrors; mistyped JSON: Type/LookupError; files: OSError
+    except (ValueError, TypeError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

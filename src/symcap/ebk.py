@@ -157,8 +157,8 @@ class EBKSpectrum:
         for e in self.entries:
             check = capacity_condition(e, self.hbar)
             rows.append([" ".join(map(str, e.N)),
-                         " ".join(repr(a) for a in e.actions),
-                         " ".join(repr(r) for r in e.radii),
+                         " ".join(repr(float(a)) for a in e.actions),
+                         " ".join(repr(float(r)) for r in e.radii),
                          repr(e.energy), repr(check.capacity), check.satisfied])
         return write_csv(["N", "actions", "radii", "energy", "capacity", "satisfied"],
                          rows, path_or_file)

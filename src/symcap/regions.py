@@ -43,8 +43,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
-        if not self.radius > 0:
-            raise ValidationError(f"ball radius must be > 0, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValidationError(f"ball radius must be > 0 and finite, got {self.radius}")
 
     @property
     def n(self) -> int:
@@ -62,8 +62,8 @@ class Ellipsoid:
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
         object.__setattr__(self, "hessian", validate_posdef(self.hessian))
-        if not self.level > 0:
-            raise ValidationError(f"ellipsoid level must be > 0, got {self.level}")
+        if not 0 < self.level < math.inf:
+            raise ValidationError(f"ellipsoid level must be > 0 and finite, got {self.level}")
         if self.hessian.shape[0] != len(self.center):
             raise DimensionError("ellipsoid center and hessian dimensions differ")
 
@@ -81,8 +81,8 @@ class SolidTorus:
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise ValidationError(f"solid-torus radii must all be > 0, got {radii}")
+        if not radii or not all(0 < r < math.inf for r in radii):
+            raise ValidationError(f"solid-torus radii must all be > 0 and finite, got {radii}")
 
     @property
     def n(self) -> int:
@@ -99,8 +99,8 @@ class Cylinder:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
-        if not self.radius > 0:
-            raise ValidationError(f"cylinder radius must be > 0, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValidationError(f"cylinder radius must be > 0 and finite, got {self.radius}")
         plane_indices(self.n, self.pair_index)
 
     @property
@@ -310,8 +310,7 @@ def _shadow_extent(region: PhaseRegion, j: int):
     return float(h), S @ z + offset
 
 
-def inclusion_check(inner: PhaseRegion, outer: PhaseRegion,
-                    tol: float = 1e-12) -> InclusionResult:
+def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
     """Decide whether inner is contained in outer (same n; centered unless an image).
 
     Exact for Ball/Ellipsoid/SolidTorus into Cylinder, Ellipsoid into
@@ -324,26 +323,26 @@ def inclusion_check(inner: PhaseRegion, outer: PhaseRegion,
     """
     if inner.n != outer.n:
         raise DimensionError("regions live in different dimensions")
-    n = inner.n
+    n, slack = inner.n, 1.0 + 1e-12  # relative slack on each radius or level compared
 
     if isinstance(outer, Cylinder):
         _require_centered(outer)
         j, r = outer.pair_index, outer.radius
         if isinstance(inner, Ball):
             _require_centered(inner)
-            return InclusionResult(inner.radius <= r * (1.0 + tol), True)
+            return InclusionResult(inner.radius <= r * slack, True)
         if isinstance(inner, SolidTorus):
-            return InclusionResult(inner.radii[j - 1] <= r * (1.0 + tol), True)
+            return InclusionResult(inner.radii[j - 1] <= r * slack, True)
         if isinstance(inner, (Ellipsoid, AffineImage)):
             _require_centered(inner)
             extent, point = _shadow_extent(inner, j)
-            if extent > r * (1.0 + tol):
+            if extent > r * slack:
                 return InclusionResult(False, True, witness=point)
             return InclusionResult(True, True)
 
     if isinstance(outer, SolidTorus) and isinstance(inner, Ellipsoid):
         _require_centered(inner)
-        ok = all(_shadow_extent(inner, j)[0] <= outer.radii[j - 1] * (1.0 + tol)
+        ok = all(_shadow_extent(inner, j)[0] <= outer.radii[j - 1] * slack
                  for j in range(1, n + 1))
         return InclusionResult(ok, True)
 
@@ -351,7 +350,7 @@ def inclusion_check(inner: PhaseRegion, outer: PhaseRegion,
         _require_centered(inner)
         _require_centered(outer)
         lam_max = np.linalg.eigvalsh(outer.hessian)[-1]
-        ok = 0.5 * inner.radius**2 * lam_max <= outer.level * (1.0 + tol)
+        ok = 0.5 * inner.radius**2 * lam_max <= outer.level * slack
         return InclusionResult(ok, True)
 
     raise UnsupportedCombinationError(
@@ -374,7 +373,7 @@ def region_to_dict(region: PhaseRegion) -> dict:
                 "center": region.center.tolist(), "r": region.radius}
     if isinstance(region, AffineImage):
         return {"variant": "AffineImage",
-                "S": {"n": region.map.n, "rows": region.map.entries.tolist()},
+                "S": region.map.to_dict(),
                 "shift": region.shift.tolist(),
                 "inner": region_to_dict(region.inner)}
     raise ValidationError(f"not a phase region: {region!r}")

@@ -182,11 +182,6 @@ class SymplecticMatrix:
     def n(self) -> int:
         return self.entries.shape[0] // 2
 
-    def __matmul__(self, other):
-        if isinstance(other, SymplecticMatrix):
-            return SymplecticMatrix(self.entries @ other.entries, max(self.tol, other.tol))
-        return self.entries @ np.asarray(other, dtype=float)
-
     def transform(self, z) -> np.ndarray:
         """Image of a phase point under the linear map."""
         z = as_phase_point(z)
@@ -199,16 +194,18 @@ class SymplecticMatrix:
         J = standard_form_matrix(self.n)
         return SymplecticMatrix(-J @ self.entries.T @ J, self.tol)
 
+    def to_dict(self) -> dict:
+        return {"n": self.n, "rows": self.entries.tolist()}
+
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "rows": self.entries.tolist()}, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, tol: float = DEFAULT_TOL) -> "SymplecticMatrix":
-        obj = json.loads(text)
-        return cls.from_dict(obj, tol=tol)
+    def from_json(cls, text: str) -> "SymplecticMatrix":
+        return cls.from_dict(json.loads(text))
 
     @classmethod
-    def from_dict(cls, obj: dict, tol: float = DEFAULT_TOL) -> "SymplecticMatrix":
+    def from_dict(cls, obj: dict) -> "SymplecticMatrix":
         if not isinstance(obj, dict) or set(obj) != {"n", "rows"}:
             raise ValidationError('matrix JSON must have exactly the keys "n" and "rows"')
         n = obj["n"]
@@ -217,7 +214,7 @@ class SymplecticMatrix:
             raise ValidationError(f'"n" must be a positive integer, got {n!r}')
         if rows.shape != (2 * n, 2 * n):
             raise ValidationError(f"rows have shape {rows.shape}, expected {(2*n, 2*n)}")
-        return cls(rows, tol)
+        return cls(rows)
 
 
 def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
@@ -250,8 +247,7 @@ def random_symplectic_stack(n: int, seeds, spread: float = 1.0) -> np.ndarray:
     return S
 
 
-def random_symplectic(n: int, seed: int, spread: float = 1.0,
-                      tol: float = DEFAULT_TOL) -> SymplecticMatrix:
+def random_symplectic(n: int, seed: int, spread: float = 1.0) -> SymplecticMatrix:
     """Draw a deterministic pseudo-random element of Sp(n).
 
     Built as a product of two exponentials exp(J A) for random symmetric A
@@ -259,7 +255,7 @@ def random_symplectic(n: int, seed: int, spread: float = 1.0,
     conjugate plane.  Group membership is exact up to matrix-exponential
     accuracy, and the factors mix position and momentum coordinates.
     """
-    return SymplecticMatrix(_draw_symplectic(n, [seed], spread)[0], tol)
+    return SymplecticMatrix(_draw_symplectic(n, [seed], spread)[0])
 
 
 @dataclass(frozen=True)
@@ -281,13 +277,20 @@ class QuadraticHamiltonian:
         z = as_phase_point(z)
         return 0.5 * float(z @ self.hessian @ z)
 
+    def drift(self, z0, zt) -> float:
+        """Relative energy drift |H(z_t) - H(z0)| / H(z0) between two points of a flow."""
+        e0 = self.value(z0)
+        if e0 <= 0.0:
+            raise DegenerateInputError("H(z0) = 0: relative drift undefined for z0 = 0")
+        return abs(self.value(zt) - e0) / e0
+
 
 def quad_propagator(H: QuadraticHamiltonian, t: float,
                     tol: float = DEFAULT_TOL) -> SymplecticMatrix:
     """Exact flow map exp(t J R) of the quadratic Hamiltonian.
 
-    Satisfies the composition law propagator(t1) @ propagator(t2) =
-    propagator(t1 + t2) and is symplectic for every t.
+    Satisfies the composition law S(t1) S(t2) = S(t1 + t2) on the entries
+    and is symplectic for every t.
     """
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t!r}")
@@ -301,11 +304,7 @@ def flow_energy_drift(H: QuadraticHamiltonian, z0, times) -> float:
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite")
-    e0 = H.value(z0)
-    if e0 <= 0.0:
-        raise DegenerateInputError("H(z0) = 0: relative drift undefined for z0 = 0")
-    drift = 0.0
+    drift = H.drift(z0, z0)  # 0.0; raises for z0 = 0 even when times is empty
     for t in np.atleast_1d(times):
-        zt = quad_propagator(H, t).transform(z0)
-        drift = max(drift, abs(H.value(zt) - e0) / e0)
+        drift = max(drift, H.drift(z0, quad_propagator(H, t).transform(z0)))
     return drift

@@ -220,3 +220,55 @@ def test_malformed_comma_list_is_input_error(capsys, argv, flag):
     assert dispatch(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
+
+
+def test_ebk_csv_writes_plain_floats(capsys):
+    code, out = run(capsys, "--format", "csv", "ebk", "--K", "oscillator:1,2",
+                    "--maslov", "2,2", "--Nmax", "0")
+    assert code == EXIT_OK
+    assert out.splitlines()[:2] == ["N,actions,radii,energy,capacity,satisfied",
+                                    "0 0,0.5 0.5,1.0 1.0,1.5,3.141592653589793,True"]
+
+
+def _region(obj):
+    return ["capacity", "--region", json.dumps(obj)]
+
+
+MALFORMED = {
+    "ball-R-string": _region({"variant": "Ball", "R": "x"}),
+    "ball-R-list": _region({"variant": "Ball", "R": [1, 2]}),
+    "ball-R-null": _region({"variant": "Ball", "R": None}),
+    "cylinder-j-string": _region({"variant": "Cylinder", "j": "a", "r": 1}),
+    "torus-radii-number": _region({"variant": "SolidTorus", "radii": 5}),
+    "torus-radii-string": _region({"variant": "SolidTorus", "radii": ["a"]}),
+    "ellipsoid-ragged-hessian": _region({"variant": "Ellipsoid", "hessian": [[1, 0], [0]]}),
+    "ellipsoid-scalar-hessian": _region({"variant": "Ellipsoid", "hessian": 5}),
+    "ellipsoid-level-string": _region({"variant": "Ellipsoid", "hessian": [[1, 0], [0, 1]],
+                                       "level": "q"}),
+    "image-rows-string": _region({"variant": "AffineImage",
+                                  "S": {"n": 1, "rows": [[1, "x"], [0, 1]]},
+                                  "inner": {"variant": "Ball", "R": 1}}),
+    "spectrum-hessian-string": ["spectrum", "--hessian", '[[1, "a"], [0, 1]]'],
+    "spectrum-hessian-nan": ["spectrum", "--hessian", "[[NaN, 0], [0, 1]]"],
+    "spectrum-hessian-directory": ["spectrum", "--hessian", "{dir}"],
+    "flow-ragged-hessian": ["flow", "--hessian", "[[1, 0], [0]]", "--t", "1"],
+    "maslov-loop-directory": ["maslov", "--loop", "{dir}"],
+    # non-finite values
+    "ball-R-overflow": ["capacity", "--region", '{"variant": "Ball", "R": 1e400}'],
+    "cylinder-r-overflow": ["capacity", "--region", '{"variant": "Cylinder", "j": 1, "r": 1e400}'],
+    "ellipsoid-level-overflow": ["capacity", "--region", '{"variant": "Ellipsoid", '
+                                 '"hessian": [[1, 0], [0, 1]], "level": 1e400}'],
+    "torus-radius-infinity": ["capacity", "--region",
+                              '{"variant": "SolidTorus", "radii": [Infinity]}'],
+    "hbar-inf": ["--hbar", "inf", "ebk", "--K", "oscillator:1", "--maslov", "2", "--Nmax", "0"],
+    "tol-inf": ["--tol", "inf", "squeeze", "--n", "2", "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_input_error(tmp_path, capsys, argv):
+    code = dispatch([a.replace("{dir}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
