@@ -109,6 +109,8 @@ def _parse_action_hamiltonian(spec: str, n: int) -> ebk.ActionHamiltonian:
         return ebk.oscillator_hamiltonian(omegas)
     if kind == "power":
         a = _parse("--K", payload)
+        if not math.isfinite(a):
+            raise ValueError(f"power exponent must be finite, got {a}")
         return ebk.ActionHamiltonian(K=lambda I: float(np.sum(I**a)), n=n,
                                      monotone=a > 0)
     if kind == "table":

@@ -91,10 +91,11 @@ class ActionHamiltonian:
 
 
 def oscillator_hamiltonian(omegas) -> ActionHamiltonian:
-    """K(I) = sum_j omega_j I_j with all omega_j > 0."""
+    """K(I) = sum_j omega_j I_j with all 0 < omega_j < inf."""
     omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas <= 0):
-        raise ValidationError("oscillator frequencies must be > 0")
+    if not np.all((omegas > 0) & (omegas < np.inf)):
+        raise ValidationError(f"oscillator frequencies must be positive and finite, "
+                              f"got {omegas.tolist()}")
     return ActionHamiltonian(K=lambda I: float(np.dot(omegas, I)), n=len(omegas),
                              gradient=lambda I: omegas.copy(), monotone=True)
 

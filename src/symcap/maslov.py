@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_indices
 
@@ -47,6 +46,17 @@ def validate_frames(frames: np.ndarray) -> None:
     bad = iso > 1e-10 * scale
     if np.any(bad):
         raise ValidationError(f"frame is not Lagrangian: isotropy residual {iso[bad][0]:.3e}")
+
+
+def closure_angle(F0: np.ndarray, F1: np.ndarray) -> float:
+    """Largest principal angle between the column spaces of two frames (2n, n).
+
+    Taken from its sine, |Q1 - Q0 Q0^T Q1|_2 for orthonormal bases Q0, Q1,
+    which keeps full relative accuracy at small angles, where the cosine
+    loses it.
+    """
+    (Q0, Q1), _ = np.linalg.qr(np.stack([F0, F1]))
+    return float(np.arcsin(min(1.0, np.linalg.norm(Q1 - Q0 @ (Q0.T @ Q1), 2))))
 
 
 @dataclass(frozen=True)
@@ -106,11 +116,9 @@ class LagrangianLoop:
             raise ValidationError("loop needs >= 2 frames with matching parameters")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValidationError("loop parameters must be strictly increasing")
-        angles = subspace_angles(frames[0], frames[-1])
-        if np.max(angles, initial=0.0) > CLOSURE_TOL:
-            raise ClosureError(
-                f"endpoint planes differ by principal angle {np.max(angles):.3e}"
-            )
+        angle = closure_angle(frames[0], frames[-1])
+        if angle > CLOSURE_TOL:
+            raise ClosureError(f"endpoint planes differ by principal angle {angle:.3e}")
 
     @property
     def n(self) -> int:
@@ -180,6 +188,13 @@ def maslov_index(loop: LagrangianLoop, max_depth: int = 20) -> MaslovResult:
     steps >= pi/2 are bisected with interpolated frames up to ``max_depth``.
     Refuses (rather than rounds) when the raw winding is farther than 0.1
     from the nearest integer.
+
+    The loop is known only at its samples, and a plane is only determined by
+    its principal angles modulo pi.  A step that turns the plane by nearly pi
+    changes det w by a phase of nearly 2 pi and so looks like a small step:
+    it is neither bisected nor refused, and the index comes out wrong with
+    no error.  Sample fast-turning loops (for example a torus cycle moved by
+    an ill-conditioned map) densely enough that no step turns by pi/2.
     """
     Q, w = _souriau(loop.frames)
     dets = np.linalg.det(w)
@@ -210,8 +225,9 @@ def torus_cycle_loop(radii, j: int, samples: int = 64) -> LagrangianLoop:
     plane_indices(n, j)
     if samples < 16:
         raise ValidationError(f"need samples >= 16, got {samples}")
-    if any(r <= 0 for r in radii):
-        raise ValidationError("torus radii must be > 0")
+    for r in radii:
+        if not 0 < r < np.inf:
+            raise ValidationError(f"torus radii must be positive and finite, got {r}")
     ts = 2.0 * np.pi * np.arange(samples + 1) / samples
     theta = np.zeros((samples + 1, n))
     theta[:, j - 1] = ts

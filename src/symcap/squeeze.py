@@ -135,7 +135,12 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     B = S.entries[plane_indices(S.n, j)]
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(samples, 2 * S.n))
-    g *= R / np.linalg.norm(g, axis=1, keepdims=True)
+    # |g| summed column by column: the bits of np.linalg.norm(g, axis=1) while 2n < 8
+    # (numpy sums wider rows pairwise), without its (samples, 2n) temporary
+    norm = np.square(g[:, 0])
+    for k in range(1, 2 * S.n):
+        norm += np.square(g[:, k])
+    g *= (R / np.sqrt(norm))[:, None]
     pts = B @ g.T  # (2, samples)
     del g  # free the samples before the prefilter allocates
     return float(ConvexHull(pts[:, _hull_candidates(pts, B, R)].T).volume)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 DEFAULT_TOL = 1e-9
 # The round-off of det S grows with cond_2(S) = |S|_2^2 <= |S|_F^2 on Sp(n).  Over
@@ -90,10 +89,12 @@ def standard_form_matrix(n: int) -> np.ndarray:
 
 
 def as_phase_point(z) -> np.ndarray:
-    """Coerce to a 1-d float array of even length >= 2."""
+    """Coerce to a finite 1-d float array of even length >= 2."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.ndim != 1 or len(z) < 2 or len(z) % 2:
         raise DimensionError(f"phase point must have even length >= 2, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValidationError(f"phase point must be finite, got {z.tolist()}")
     return z
 
 
@@ -219,6 +220,8 @@ class SymplecticMatrix:
 
 def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
     """The unvalidated stack (T, 2n, 2n) behind random_symplectic, one map per seed."""
+    from scipy.linalg import expm
+
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if not spread > 0:
@@ -279,10 +282,13 @@ class QuadraticHamiltonian:
 
     def drift(self, z0, zt) -> float:
         """Relative energy drift |H(z_t) - H(z0)| / H(z0) between two points of a flow."""
-        e0 = self.value(z0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0, et = self.value(z0), self.value(zt)
+        if not np.isfinite(e0) or not np.isfinite(et):
+            raise ValidationError(f"energy overflows at z0 = {np.asarray(z0).tolist()}")
         if e0 <= 0.0:
             raise DegenerateInputError("H(z0) = 0: relative drift undefined for z0 = 0")
-        return abs(self.value(zt) - e0) / e0
+        return abs(et - e0) / e0
 
 
 def quad_propagator(H: QuadraticHamiltonian, t: float,
@@ -292,6 +298,8 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
     Satisfies the composition law S(t1) S(t2) = S(t1 + t2) on the entries
     and is symplectic for every t.
     """
+    from scipy.linalg import expm
+
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t!r}")
     J = standard_form_matrix(H.n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .symcore import (
     SymplecticMatrix,
@@ -85,6 +84,8 @@ def williamson_decompose(R) -> WilliamsonDecomposition:
     S = R^{-1/2} O D^{1/2}.  Only the residual bound
     |S^T R S - D| <= 1e-8 |R| is contractual.
     """
+    from scipy.linalg import schur
+
     R = validate_posdef(R)
     n = R.shape[0] // 2
     J = standard_form_matrix(n)

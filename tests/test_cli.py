@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,12 +264,28 @@ MALFORMED = {
     "hbar-inf": ["--hbar", "inf", "ebk", "--K", "oscillator:1", "--maslov", "2", "--Nmax", "0"],
     "tol-inf": ["--tol", "inf", "squeeze", "--n", "2", "--trials", "5"],
 }
+# non-finite or overflowing values, each with the text that names it in the error
+UNIT_HESSIAN = "[[1, 0], [0, 1]]"
+NONFINITE = {
+    "ebk-oscillator-nan": (["ebk", "--K", "oscillator:nan", "--maslov", "2", "--Nmax", "0"], "nan"),
+    "ebk-oscillator-inf": (["ebk", "--K", "oscillator:inf", "--maslov", "2", "--Nmax", "0"], "inf"),
+    "ebk-power-nan": (["ebk", "--K", "power:nan", "--maslov", "2", "--Nmax", "0"], "nan"),
+    "flow-z0-inf": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1", "--z0", "inf,0"], "inf"),
+    "flow-z0-overflow": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1", "--z0", "1e200,0"],
+                         "1e+200"),
+    "maslov-torus-inf": (["maslov", "--torus", "inf,1"], "inf"),
+    "maslov-torus-nan": (["maslov", "--torus", "nan,1"], "nan"),
+}
+INPUT_ERRORS = {**{name: (argv, "") for name, argv in MALFORMED.items()}, **NONFINITE}
 
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_input_error(tmp_path, capsys, argv):
-    code = dispatch([a.replace("{dir}", str(tmp_path)) for a in argv])
+@pytest.mark.parametrize("argv, named", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_malformed_input_is_input_error(tmp_path, capsys, argv, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code = dispatch([a.replace("{dir}", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == EXIT_INPUT
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert named in captured.err
     assert captured.out == ""

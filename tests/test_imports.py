@@ -1,5 +1,7 @@
 """Every name a module of the package imports is used in that module, and the
-scipy modules that only one function needs load when it first runs."""
+scipy modules load only in the functions that need them: importing the CLI
+loads none of them, and the subcommands that need no matrix exponential never
+load scipy.linalg."""
 
 import ast
 import os
@@ -31,10 +33,32 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def test_cli_import_defers_scipy_submodules():
-    lazy = ("scipy.spatial", "scipy.integrate", "scipy.optimize")
-    code = f"import sys, symcap.cli; print([m for m in {lazy!r} if m in sys.modules])"
+def _run(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_defers_scipy_submodules():
+    lazy = ("scipy.linalg", "scipy.spatial", "scipy.integrate", "scipy.optimize")
+    out = _run(f"import sys, symcap.cli; print([m for m in {lazy!r} if m in sys.modules])")
     assert out.strip() == "[]"
+
+
+NO_LINALG = {
+    "capacity-ball": ["capacity", "--region", '{"variant": "Ball", "R": 1}'],
+    "capacity-cylinder": ["capacity", "--region", '{"variant": "Cylinder", "j": 1, "r": 2}'],
+    "capacity-solid-torus": ["capacity", "--region",
+                             '{"variant": "SolidTorus", "radii": [1.0, 1.5]}'],
+    "spectrum": ["spectrum", "--hessian", "[[4.0, 0.0], [0.0, 1.0]]"],
+    "ebk-oscillator": ["ebk", "--K", "oscillator:1.0,1.5", "--maslov", "2,2", "--Nmax", "3"],
+    "maslov-torus": ["maslov", "--torus", "1.0,1.5", "--cycle", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_LINALG.values(), ids=NO_LINALG.keys())
+def test_light_subcommands_never_load_scipy_linalg(argv):
+    code = ("import sys, symcap.cli\n"
+            f"assert symcap.cli.dispatch({argv!r}) == 0\n"
+            "print('scipy.linalg' in sys.modules)")
+    assert _run(code).splitlines()[-1] == "False"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
 from symcap import (
     DimensionError,
@@ -19,7 +20,7 @@ from symcap import (
     torus_cycle_loop,
     transport_loop,
 )
-from symcap.maslov import ClosureError, SamplingTooCoarseError
+from symcap.maslov import CLOSURE_TOL, ClosureError, SamplingTooCoarseError, closure_angle
 
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +155,63 @@ def test_open_path_rejected():
     frames = circle_frames(np.linspace(0.0, 1.0, 8))
     with pytest.raises(ClosureError):
         LagrangianLoop(frames, tuple(np.linspace(0.0, 1.0, 8)))
+
+
+@pytest.mark.parametrize("gap, closed", [(0.9 * CLOSURE_TOL, True), (1.1 * CLOSURE_TOL, False)])
+def test_closure_verdict_on_each_side_of_tolerance(gap, closed):
+    ts = np.linspace(0.0, 2.0 * math.pi + gap, 16)
+    if closed:
+        LagrangianLoop(circle_frames(ts), ts)
+    else:
+        with pytest.raises(ClosureError):
+            LagrangianLoop(circle_frames(ts), ts)
+
+
+def rotated_lagrangian_pair(rng, n, theta, cond):
+    """Two frames of Lagrangian planes whose largest principal angle is theta.
+
+    The second plane turns column k of an orthonormal frame Q towards J Q by
+    theta_k <= theta (a phase e^{-i theta_k} on that column of X + iP), so its
+    principal angles to the first are the theta_k.  Each frame is then re-based
+    by a random matrix of condition number cond and scaled by 10^[-3, 3].
+    """
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    Q = np.vstack([U.real, U.imag])
+    JQ = np.vstack([Q[n:], -Q[:n]])
+    angles = theta * np.concatenate([[1.0], rng.uniform(0.0, 1.0, n - 1)])
+
+    def rebase(F):
+        u, _, vh = np.linalg.svd(rng.normal(size=(n, n)))
+        return F @ ((u * np.geomspace(1.0, cond, n)) @ vh) * 10 ** rng.uniform(-3, 3)
+
+    return rebase(Q), rebase(Q * np.cos(angles) + JQ * np.sin(angles))
+
+
+# Largest |closure_angle - max(subspace_angles)| over 30 000 pairs of this
+# generator (n = 1..6, cond 1..100, a third each with theta in [1e-12, 1e-4],
+# in [1e-4, pi/2] and within 0.1 of pi/2): 0.35 eps (cond F0 + cond F1) for
+# theta < 1e-4, and 2.9e-8 relative above, where arcsin of a sine near 1 keeps
+# only half the digits.  The verdict at CLOSURE_TOL agreed on all 30 000.
+ANGLE_RTOL = 1e-7
+ANGLE_ATOL_COND = 1.0
+
+
+@given(st.integers(1, 6), st.floats(-12.0, math.log10(math.pi / 2)), st.floats(1.0, 100.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_closure_angle_matches_subspace_angles(n, log_theta, cond, seed):
+    F0, F1 = rotated_lagrangian_pair(np.random.default_rng(seed), n, 10**log_theta, cond)
+    angle = closure_angle(F0, F1)
+    expected = float(np.max(subspace_angles(F0, F1)))
+    tol = (ANGLE_RTOL * expected
+           + ANGLE_ATOL_COND * np.finfo(float).eps * (np.linalg.cond(F0) + np.linalg.cond(F1)))
+    assert abs(angle - expected) <= tol
+    if abs(expected - CLOSURE_TOL) > tol:  # the verdict is only defined outside round-off
+        if expected > CLOSURE_TOL:
+            with pytest.raises(ClosureError):
+                LagrangianLoop([F0, F1], (0.0, 1.0))
+        else:
+            LagrangianLoop([F0, F1], (0.0, 1.0))
 
 
 def test_two_frame_loop_with_antipodal_frames_has_index_zero():

@@ -250,7 +250,8 @@ def test_hull_prefilter_drops_the_interior():
 
 @pytest.mark.parametrize("S, j, seed", [(shear_matrix(), 1, 0),
                                         (random_symplectic(2, 101, 0.6), 1, 1),
-                                        (random_symplectic(2, 1234567, 0.3), 2, 9)])
+                                        (random_symplectic(2, 1234567, 0.3), 2, 9),
+                                        (random_symplectic(3, 5, 0.6), 3, 4)])
 def test_mc_projection_area_equals_full_hull_at_full_samples(S, j, seed):
     full = ConvexHull(projected_sphere(S, 1.0, j, 10**6, seed).T)
     assert mc_projection_area(S, 1.0, j, 10**6, seed) == full.volume
