@@ -42,8 +42,8 @@ def _config(args):
         if getattr(args, name) is None:
             raw = os.environ.get(var)
             setattr(args, name, default if raw is None else _parse(var, raw, cast))
-    if not (0 < args.hbar < math.inf and 0 < args.tol < math.inf):
-        raise ValueError("hbar and tol must be positive and finite")
+    symcore.positive("hbar", args.hbar)
+    symcore.positive("tol", args.tol)
     if args.format not in ("json", "csv"):
         raise ValueError(f"unknown format {args.format!r}")
 

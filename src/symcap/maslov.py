@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_indices
+from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_indices, positive
 
 CLOSURE_TOL = 1e-8  # max principal angle between endpoint planes
 SNAP_TOL = 0.1      # max |raw winding - integer| accepted
@@ -32,11 +32,14 @@ class SamplingTooCoarseError(RuntimeError):
 def validate_frames(frames: np.ndarray) -> None:
     """Raise unless every frame [X; P] of the stack (K, 2n, n) spans a Lagrangian plane.
 
-    A frame must have full rank (sigma_min > 1e-10 sigma_max) and be isotropic:
-    max|X^T P - P^T X| <= 1e-10 (|X|_2 + |P|_2)^2.
+    Both tests run on the frame scaled to unit columns, which spans the same plane
+    (a zero column stays zero): full rank, sigma_min > 1e-10 sigma_max, and
+    isotropy, max|X^T P - P^T X| <= 1e-10 (|X|_2 + |P|_2)^2.
     """
     if frames.ndim != 3 or frames.shape[2] < 1 or frames.shape[1] != 2 * frames.shape[2]:
         raise DimensionError(f"frames must have shape (K, 2n, n), got {frames.shape}")
+    norms = np.linalg.norm(frames, axis=1, keepdims=True)
+    frames = frames / np.maximum(norms, np.finfo(float).tiny)
     X, P = np.split(frames, 2, axis=1)
     svals = np.linalg.svd(frames, compute_uv=False)
     if np.any(svals[:, -1] <= 1e-10 * svals[:, 0]):
@@ -220,14 +223,11 @@ def torus_cycle_loop(radii, j: int, samples: int = 64) -> LagrangianLoop:
     tangent column i is the derivative in theta_i.  Along the basic cycle,
     theta_j sweeps [0, 2 pi] while the other angles stay at 0.
     """
-    radii = np.array([float(r) for r in radii])
+    radii = positive("torus radii", radii)
     n = len(radii)
     plane_indices(n, j)
     if samples < 16:
         raise ValidationError(f"need samples >= 16, got {samples}")
-    for r in radii:
-        if not 0 < r < np.inf:
-            raise ValidationError(f"torus radii must be positive and finite, got {r}")
     ts = 2.0 * np.pi * np.arange(samples + 1) / samples
     theta = np.zeros((samples + 1, n))
     theta[:, j - 1] = ts

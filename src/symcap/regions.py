@@ -23,6 +23,7 @@ from .symcore import (
     ValidationError,
     as_phase_point,
     plane_indices,
+    positive,
     validate_posdef,
 )
 from .williamson import symplectic_spectrum
@@ -43,8 +44,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
-        if not 0 < self.radius < math.inf:
-            raise ValidationError(f"ball radius must be > 0 and finite, got {self.radius}")
+        positive("ball radius", self.radius)
 
     @property
     def n(self) -> int:
@@ -62,8 +62,7 @@ class Ellipsoid:
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
         object.__setattr__(self, "hessian", validate_posdef(self.hessian))
-        if not 0 < self.level < math.inf:
-            raise ValidationError(f"ellipsoid level must be > 0 and finite, got {self.level}")
+        positive("ellipsoid level", self.level)
         if self.hessian.shape[0] != len(self.center):
             raise DimensionError("ellipsoid center and hessian dimensions differ")
 
@@ -79,10 +78,8 @@ class SolidTorus:
     radii: tuple
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        object.__setattr__(self, "radii", radii)
-        if not radii or not all(0 < r < math.inf for r in radii):
-            raise ValidationError(f"solid-torus radii must all be > 0 and finite, got {radii}")
+        positive("solid-torus radii", self.radii)
+        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
 
     @property
     def n(self) -> int:
@@ -99,8 +96,7 @@ class Cylinder:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
-        if not 0 < self.radius < math.inf:
-            raise ValidationError(f"cylinder radius must be > 0 and finite, got {self.radius}")
+        positive("cylinder radius", self.radius)
         plane_indices(self.n, self.pair_index)
 
     @property
@@ -217,8 +213,7 @@ def sandwich_capacity(inner_radius: float, outer_radius: float, j: int) -> Capac
     With equal radii the squeeze is tight and the capacity is exactly pi R^2;
     otherwise only the bounds (pi inner^2, pi outer^2) survive.
     """
-    if not (inner_radius > 0 and outer_radius > 0):
-        raise ValidationError("sandwich radii must be > 0")
+    positive("sandwich radii", (inner_radius, outer_radius))
     if inner_radius > outer_radius:
         raise InconsistentCertificateError(
             f"B({inner_radius}) inside Z_{j}({outer_radius}) contradicts non-squeezing"

@@ -28,6 +28,7 @@ from .symcore import (
     SymplecticMatrix,
     ValidationError,
     plane_indices,
+    positive,
     random_symplectic_stack,
     standard_form_matrix,
 )
@@ -45,8 +46,7 @@ HULL_DIRECTIONS = np.array([[math.cos(k * math.pi / 8), math.sin(k * math.pi / 8
 def _shadow_areas(S: np.ndarray, R: float, planes):
     """(projection areas, slice areas) of S(B(R)) on each conjugate plane j in planes,
     for a stack S of shape (T, 2n, 2n): two (T, len(planes)) arrays."""
-    if not R > 0:
-        raise ValidationError(f"ball radius must be > 0, got {R}")
+    positive("ball radius", R)
     n = S.shape[-1] // 2
     idx = np.array([plane_indices(n, j) for j in planes])  # (k, 2)
     J = standard_form_matrix(n)
@@ -84,8 +84,8 @@ class ShadowReport:
 
 
 def shadow_report(S: SymplecticMatrix, R: float, j: int) -> ShadowReport:
-    bound = math.pi * R**2
     ((proj,),), ((inter,),) = _shadow_areas(S.entries[None], R, [j])
+    bound = math.pi * R**2
     return ShadowReport(j=j, projection_area=float(proj), intersection_area=float(inter),
                         projection_ratio=float(proj / bound),
                         intersection_ratio=float(inter / bound))
@@ -132,6 +132,7 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     """
     from scipy.spatial import ConvexHull
 
+    positive("ball radius", R)
     B = S.entries[plane_indices(S.n, j)]
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(samples, 2 * S.n))
@@ -154,6 +155,7 @@ def mc_intersection_area(S: SymplecticMatrix, R: float, j: int,
     closed-form determinant expression.  Samples fill the bounding box of the
     slice {w : |C w| <= R}, whose half-widths are R sqrt(((C^T C)^{-1})_ii).
     """
+    positive("ball radius", R)
     idx = plane_indices(S.n, j)
     rng = np.random.default_rng(seed)
     Sinv = S.inverse().entries
@@ -202,7 +204,7 @@ def nonsqueeze_verify(n: int, trials: int, seed: int, R: float = 1.0,
     """
     if trials < 1:
         raise ValidationError(f"need trials >= 1, got {trials}")
-    bound = math.pi * R**2
+    bound = math.pi * positive("ball radius", R) ** 2
     report = NonsqueezeReport(n=n, trials=trials, seed=seed)
     for start in range(0, trials, NONSQUEEZE_BLOCK):
         seeds = [(seed * 1_000_003 + t) % 2**63

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +43,25 @@ def _maxabs(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
+def positive(name: str, x):
+    """x as a float, or a float array for a sequence or an array, if every value
+    is > 0 and finite; anything else (no value, NaN, +-inf, a value <= 0, or one
+    float() cannot read, None included) raises ValidationError naming x."""
+    try:
+        try:
+            v = float(x)
+            ok = 0.0 < v < math.inf
+        except TypeError:  # a sequence or an array (None reads as NaN)
+            v = np.asarray(x, dtype=float)
+            # a Python loop beats numpy's reductions on the short vectors checked here
+            ok = v.size > 0 and all(0.0 < r < math.inf for r in v.ravel().tolist())
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be > 0 and finite, got {x}")
+    return v
+
+
 def plane_indices(n: int, j: int) -> list:
     """Indices [x_j, p_j] of the conjugate pair j (1-based) in a 2n-vector."""
     if not 1 <= j <= n:
@@ -54,6 +74,8 @@ def validate_posdef(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2:
         raise DimensionError(f"expected a square matrix of even order, got shape {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise ValidationError(f"matrix entries must be finite, got {R.tolist()}")
     scale = max(_maxabs(R), np.finfo(float).tiny)
     if _maxabs(R - R.T) > 1e-10 * scale:
         raise ValidationError("matrix is not symmetric")
@@ -224,8 +246,7 @@ def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
 
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if not spread > 0:
-        raise ValidationError(f"need spread > 0, got {spread}")
+    positive("spread", spread)
     A = np.empty((len(seeds), 2, 2 * n, 2 * n))
     theta = np.empty((len(seeds), n))
     for k, seed in enumerate(seeds):  # each map keeps its own stream
@@ -295,24 +316,24 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
                     tol: float = DEFAULT_TOL) -> SymplecticMatrix:
     """Exact flow map exp(t J R) of the quadratic Hamiltonian.
 
-    Satisfies the composition law S(t1) S(t2) = S(t1 + t2) on the entries
-    and is symplectic for every t.
+    Satisfies the composition law S(t1) S(t2) = S(t1 + t2) on the entries.  Its
+    round-off grows with |t| |R|; past ``tol`` it raises a ValidationError naming t.
     """
     from scipy.linalg import expm
 
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t!r}")
     J = standard_form_matrix(H.n)
-    return SymplecticMatrix(expm(float(t) * (J @ H.hessian)), tol)
+    try:
+        return SymplecticMatrix(expm(float(t) * (J @ H.hessian)), tol)
+    except ValidationError as exc:
+        raise ValidationError(f"flow map at t = {t!r} is out of tolerance: {exc}") from exc
 
 
 def flow_energy_drift(H: QuadraticHamiltonian, z0, times) -> float:
     """Max relative energy drift |H(z(t)) - H(z0)| / H(z0) over sample times."""
     z0 = as_phase_point(z0)
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValidationError("times must be finite")
     drift = H.drift(z0, z0)  # 0.0; raises for z0 = 0 even when times is empty
-    for t in np.atleast_1d(times):
+    for t in np.atleast_1d(np.asarray(times, dtype=float)).tolist():  # quad_propagator checks t
         drift = max(drift, H.drift(z0, quad_propagator(H, t).transform(z0)))
     return drift

@@ -19,8 +19,8 @@ import numpy as np
 
 from .symcore import (
     SymplecticMatrix,
-    ValidationError,
     _maxabs,
+    positive,
     standard_form_matrix,
     validate_posdef,
     write_csv,
@@ -130,6 +130,4 @@ def normal_radii(R, level: float) -> np.ndarray:
 
     Radii are sqrt(2 * level / mu_j), listed descending (mu ascending).
     """
-    if not level > 0:
-        raise ValidationError(f"level must be > 0, got {level}")
-    return np.sqrt(2.0 * level / symplectic_spectrum(R).mu)
+    return np.sqrt(2.0 * positive("level", level) / symplectic_spectrum(R).mu)

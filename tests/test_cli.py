@@ -275,6 +275,10 @@ NONFINITE = {
                          "1e+200"),
     "maslov-torus-inf": (["maslov", "--torus", "inf,1"], "inf"),
     "maslov-torus-nan": (["maslov", "--torus", "nan,1"], "nan"),
+    "flow-t-1e17": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1e17"], "t = 1e+17"),
+    "flow-t-1e300": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1e300"], "t = 1e+300"),
+    "ellipsoid-hessian-nan": (_region({"variant": "Ellipsoid", "hessian": [[math.nan, 0], [0, 1]]}),
+                              "nan"),
 }
 INPUT_ERRORS = {**{name: (argv, "") for name, argv in MALFORMED.items()}, **NONFINITE}
 

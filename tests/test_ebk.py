@@ -138,6 +138,20 @@ def test_verify_energy_bound_oscillator():
         assert margin == pytest.approx(float(np.dot(np.asarray(e.N), omegas)), abs=1e-12)
 
 
+def test_verify_energy_bound_frequencies_eighteen_decades_apart():
+    # the finite differences of |K| ~ 1e7 resolve dK/dI_2 = 1e-12 only to about 1e-3
+    K = oscillator_hamiltonian([1e6, 1e-12])
+    assert verify_energy_bound(K, energy_levels(K, (2, 2), 0)).ok
+
+
+@pytest.mark.parametrize("declared", [[1e6, 1.0], [1e6 * (1.0 + 1e-4), 1e-12]])
+def test_check_monotone_catches_a_gradient_error_differences_resolve(declared):
+    K = ActionHamiltonian(K=oscillator_hamiltonian([1e6, 1e-12]).K, n=2,
+                          gradient=lambda I: np.array(declared), monotone=True)
+    with pytest.raises(ValidationError, match="declared gradient"):
+        K.check_monotone()
+
+
 def test_verify_energy_bound_power():
     K = ActionHamiltonian(K=lambda I: float(I[0] ** 2), n=1, monotone=True)
     spec = energy_levels(K, (2,), 5)

@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module, and the
-scipy modules load only in the functions that need them: importing the CLI
-loads none of them, and the subcommands that need no matrix exponential never
-load scipy.linalg."""
+"""Every name a module of the package imports is used in that module, only
+symcore.positive compares a value with infinity, and the scipy modules load
+only in the functions that need them: importing the CLI loads none of them,
+and the subcommands that need no matrix exponential never load scipy.linalg."""
 
 import ast
 import os
@@ -31,6 +31,27 @@ def unused_imports(path: Path) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def _is_inf(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id in ("math", "np", "numpy"))
+
+
+def inf_comparisons(path: Path) -> list:
+    """Lines that compare a value with math.inf or np.inf."""
+    tree = ast.parse(path.read_text())
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(_is_inf(x) for x in (node.left, *node.comparators)))
+
+
+# a positive, finite input is checked by symcore.positive, nowhere else
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "symcore.py"),
+                         ids=lambda p: p.name)
+def test_only_symcore_compares_with_infinity(path):
+    assert inf_comparisons(path) == []
 
 
 def _run(code: str) -> str:

@@ -83,6 +83,13 @@ def test_rank_deficient_frame_rejected():
         LagrangianFrame(np.zeros((2, 2)), np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("radii", [[1e5, 1e-5], [1e11, 1.0]])
+@pytest.mark.parametrize("j", [1, 2])
+def test_torus_radii_far_apart_keep_index_two(radii, j):
+    # the tangent frame has condition max R / min R, but spans the same plane for any radii
+    assert maslov_index(torus_cycle_loop(radii, j)).index == 2
+
+
 def test_constant_loop_index_zero():
     loop = LagrangianLoop(circle_frames([0.3] * 5), (0.0, 1.0, 2.0, 3.0, 4.0))
     assert maslov_index(loop).index == 0
