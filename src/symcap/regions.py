@@ -174,8 +174,8 @@ def capacity(region: PhaseRegion) -> CapacityValue:
 
 def scale_region(region: PhaseRegion, lam: float) -> PhaseRegion:
     """The dilate lambda * region about the origin (capacity scales as lambda^2)."""
-    if lam == 0:
-        raise ValidationError("scale factor must be nonzero")
+    if lam == 0 or not math.isfinite(lam):
+        raise ValidationError(f"scale factor must be nonzero and finite, got {lam}")
     a = abs(lam)
     if isinstance(region, Ball):
         return Ball(lam * region.center, a * region.radius)

@@ -22,8 +22,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 # The round-off of det S grows with cond_2(S) = |S|_2^2 <= |S|_F^2 on Sp(n).  Over
-# the 1194 draws of random_symplectic (n in {1, 2, 3, 5, 10}, spread 1, 2, 3) that
-# a fixed 10 * tol bound rejected, |det S - 1| stayed below 1.72 eps |S|_F^2.
+# 6000 draws of random_symplectic (n in {1, 2, 3, 5, 10}, spread 0.5 to 3, seeds
+# 0-199 each), |det S - 1| stayed below 2.9 eps |S|_F^2; 820 of them fail a fixed
+# 10 * tol bound.
 DET_ROUNDOFF = 10.0
 
 
@@ -142,8 +143,8 @@ def _symplectic_residuals(S: np.ndarray):
     if S.shape[-1] % 2:
         raise DimensionError(f"symplectic matrices have even order, got {S.shape[-1]}")
     J = standard_form_matrix(S.shape[-1] // 2)
-    residual = np.max(np.abs(np.swapaxes(S, 1, 2) @ J @ S - J), axis=(1, 2))
-    scale = np.maximum(np.max(np.abs(S), axis=(1, 2)) ** 2, np.finfo(float).tiny)
+    residual = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J).max(axis=(1, 2))
+    scale = np.maximum(np.abs(S).max(axis=(1, 2)) ** 2, np.finfo(float).tiny)
     return residual, scale
 
 
@@ -169,19 +170,18 @@ def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     DET_ROUNDOFF eps |S|_F^2).
     """
     residual, scale = _symplectic_residuals(S)
-    bad = np.flatnonzero(~(residual <= tol * scale))
-    if bad.size:
-        k = bad[0]
+    bad = ~(residual <= tol * scale)
+    if bad.any():
         raise ValidationError(
-            f"matrix is not symplectic: residual {residual[k]:.3e} "
+            f"matrix is not symplectic: residual {residual[bad.argmax()]:.3e} "
             f"exceeds {tol:.1e} * |S|^2"
         )
     det = np.linalg.det(S)
     limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
-                       DET_ROUNDOFF * np.finfo(float).eps * np.sum(S**2, axis=(1, 2)))
-    bad = np.flatnonzero(np.abs(det - 1.0) > limit)
-    if bad.size:
-        raise ValidationError(f"det S = {float(det[bad[0]])!r}, expected 1")
+                       DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
+    bad = np.abs(det - 1.0) > limit
+    if bad.any():  # argmax: the first bad matrix
+        raise ValidationError(f"det S = {float(det[bad.argmax()])!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -240,10 +240,61 @@ class SymplecticMatrix:
         return cls(rows)
 
 
+# The [13/13] Pade approximant of exp is exact to unit round-off on matrices of 1-norm
+# below THETA_13 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).  With the
+# coefficients b_0..b_13 of its numerator, it is (V - U)^-1 (V + U) for U = A (A6 X0 + X2)
+# and V = A6 X1 + X3, where the rows (b13 b11 b9 0), (b12 b10 b8 0), (b7 b5 b3 b1) and
+# (b6 b4 b2 b0) of PADE_13 give X0..X3 from (A6, A4, A2, I).  Dividing by b_0 makes
+# V = I at A = 0, so exp(0) = I exactly.
+THETA_13 = 5.371920351148152
+PADE_13 = np.array([
+    [1.0, 16380.0, 40840800.0, 0.0],
+    [182.0, 960960.0, 1323241920.0, 0.0],
+    [33522128640.0, 10559470521600.0, 1187353796428800.0, 32382376266240000.0],
+    [670442572800.0, 129060195264000.0, 7771770303897600.0, 64764752532480000.0],
+]) / 64764752532480000.0
+
+
+def expm(A) -> np.ndarray:
+    """exp(A) of every matrix of a stack A (..., m, m), by scaling and squaring.
+
+    Each matrix is scaled by 2^-s, with the least s >= 0 (one more at a power of
+    two) that brings its 1-norm below THETA_13, goes through the [13/13] Pade
+    approximant, and is squared s times.  A stack gives the bits of its matrices
+    taken one at a time.
+    """
+    A = np.asarray(A, dtype=float)
+    batch, m = A.shape[:-2], A.shape[-1]
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    if A.ndim == 2:  # one matrix: Python ints, no masks
+        s = max(math.frexp(float(norm) / THETA_13)[1], 0)
+        A = A * 2.0**-s
+    else:
+        s = np.maximum(np.frexp(norm / THETA_13)[1], 0)
+        A = A * np.ldexp(1.0, -s)[..., None, None]
+    P = np.empty((*batch, 4, m, m))  # A6, A4, A2, I
+    P[..., 3, :, :] = np.eye(m)
+    np.matmul(A, A, out=P[..., 2, :, :])
+    np.matmul(P[..., 2, :, :], P[..., 2, :, :], out=P[..., 1, :, :])
+    np.matmul(P[..., 1, :, :], P[..., 2, :, :], out=P[..., 0, :, :])
+    X = (PADE_13 @ P.reshape(*batch, 4, m * m)).reshape(P.shape)
+    W = P[..., :1, :, :] @ X[..., :2, :, :] + X[..., 2:, :, :]
+    U, V = A @ W[..., 0, :, :], W[..., 1, :, :]
+    E = np.linalg.solve(V - U, V + U)
+    if A.ndim == 2:
+        for _ in range(s):
+            E = E @ E
+        return E
+    E, s = E.reshape(-1, m, m), s.ravel()
+    for k in range(int(s.max(initial=0))):
+        i = np.flatnonzero(s > k)  # the matrices squared more than k times
+        Ei = E[i]
+        E[i] = Ei @ Ei
+    return E.reshape(A.shape)
+
+
 def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
     """The unvalidated stack (T, 2n, 2n) behind random_symplectic, one map per seed."""
-    from scipy.linalg import expm
-
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     positive("spread", spread)
@@ -318,14 +369,20 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
 
     Satisfies the composition law S(t1) S(t2) = S(t1 + t2) on the entries.  Its
     round-off grows with |t| |R|; past ``tol`` it raises a ValidationError naming t.
+    With expm's [13/13] Pade approximant the symplectic residual is about
+    2e-11 |S|^2 at |t| = 1e6 on R = I and on [[2, .3], [.3, .5]]; on a grid of ten
+    times per decade the flow first fails the default tol at t = 3.2e7 and
+    2.5e7, and at t = 1e8 the residual is 4e-9 and 1e-8 |S|^2.
     """
-    from scipy.linalg import expm
-
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t!r}")
-    J = standard_form_matrix(H.n)
+    R, n = H.hessian, H.n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        E = expm(float(t) * np.concatenate([R[n:], -R[:n]]))  # J R without forming J
     try:
-        return SymplecticMatrix(expm(float(t) * (J @ H.hessian)), tol)
+        if not np.isfinite(E).all():
+            raise ValidationError("its entries overflow")
+        return SymplecticMatrix(E, tol)
     except ValidationError as exc:
         raise ValidationError(f"flow map at t = {t!r} is out of tolerance: {exc}") from exc
 

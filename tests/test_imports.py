@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, only
 symcore.positive compares a value with infinity, and the scipy modules load
 only in the functions that need them: importing the CLI loads none of them,
-and the subcommands that need no matrix exponential never load scipy.linalg."""
+symcore imports none at all, and the subcommands that need no Williamson
+decomposition never load scipy.linalg."""
 
 import ast
 import os
@@ -66,6 +67,13 @@ def test_cli_import_defers_scipy_submodules():
     assert out.strip() == "[]"
 
 
+def test_symcore_imports_no_scipy():
+    tree = ast.parse((SRC / "symcore.py").read_text())
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m and m.split(".")[0] == "scipy"]
+
+
 NO_LINALG = {
     "capacity-ball": ["capacity", "--region", '{"variant": "Ball", "R": 1}'],
     "capacity-cylinder": ["capacity", "--region", '{"variant": "Cylinder", "j": 1, "r": 2}'],
@@ -74,6 +82,8 @@ NO_LINALG = {
     "spectrum": ["spectrum", "--hessian", "[[4.0, 0.0], [0.0, 1.0]]"],
     "ebk-oscillator": ["ebk", "--K", "oscillator:1.0,1.5", "--maslov", "2,2", "--Nmax", "3"],
     "maslov-torus": ["maslov", "--torus", "1.0,1.5", "--cycle", "2"],
+    "flow": ["flow", "--hessian", "[[2.0, 0.3], [0.3, 0.5]]", "--t", "1.5", "--z0", "1.0,0.5"],
+    "squeeze": ["squeeze", "--n", "3", "--trials", "20"],
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ def test_scale_identity_and_negative():
     assert scale_region(t, -1.0) == t  # disks are centrally symmetric
     with pytest.raises(ValidationError):
         scale_region(t, 0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("region", [Ball(np.zeros(2), 1.0), SolidTorus((1.0, 3.0))],
+                         ids=["ball", "solid-torus"])
+def test_scale_rejects_zero_and_non_finite_factors(region, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(ValidationError, match=f"scale factor .* got {lam}"):
+            scale_region(region, lam)
 
 
 def test_scale_ball():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm as scipy_expm
 
 from symcap import (
     DegenerateInputError,
@@ -20,7 +21,7 @@ from symcap import (
     standard_form_matrix,
     symplectic_form,
 )
-from symcap.symcore import validate_symplectic
+from symcap.symcore import expm, validate_symplectic
 
 
 def test_standard_form_matrix_convention():
@@ -122,6 +123,44 @@ def test_stacked_draw_equals_random_symplectic(n, spread, seeds):
     assert stack.shape == (len(seeds), 2 * n, 2 * n)
     for S, seed in zip(stack, seeds):
         assert S.tobytes() == random_symplectic(n, seed, spread).entries.tobytes()
+
+
+def hamiltonian_stack(n, shape, seed):
+    """J A for random symmetric A, entries scaled by 0.1, 1 and 3 along the first axis."""
+    A = np.random.default_rng(seed).normal(size=(3, *shape, 2 * n, 2 * n))
+    A *= np.array([0.1, 1.0, 3.0]).reshape(3, *[1] * (len(shape) + 2))
+    return standard_form_matrix(n) @ (A + np.swapaxes(A, -1, -2))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_expm_agrees_with_scipy(n):
+    H = hamiltonian_stack(n, (8,), seed=n)
+    E, F = expm(H), scipy_expm(H)
+    assert np.all(np.max(np.abs(E - F), axis=(-2, -1)) <= 1e-12 * np.max(np.abs(F), axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.5, -7.0, 100.0])
+def test_expm_of_tJ_is_a_rotation(t):
+    for n in (1, 2, 3):
+        c, s, eye = np.cos(t), np.sin(t), np.eye(n)
+        rotation = np.block([[c * eye, s * eye], [-s * eye, c * eye]])
+        assert np.allclose(expm(t * standard_form_matrix(n)), rotation, rtol=0, atol=1e-14)
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    for m in (1, 2, 5):
+        assert np.array_equal(expm(np.zeros((m, m))), np.eye(m))
+    assert np.array_equal(expm(np.zeros((3, 2, 4, 4))), np.broadcast_to(np.eye(4), (3, 2, 4, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_expm_stack_equals_its_slices(n):
+    # the scales 0.1 to 3 give the matrices of one stack different squaring counts
+    H = hamiltonian_stack(n, (4, 2), seed=10 + n)
+    E = expm(H)
+    assert E.shape == H.shape
+    for k in np.ndindex(H.shape[:-2]):
+        assert expm(H[k]).tobytes() == E[k].tobytes()
 
 
 def test_validate_symplectic_checks_every_matrix_of_a_stack():
