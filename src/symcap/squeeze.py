@@ -41,7 +41,6 @@ NONSQUEEZE_BLOCK = 512  # maps drawn and checked at once; bounds the memory of a
 # Directions of the extreme points that span the hull prefilter's polygon.
 HULL_DIRECTIONS = np.array([[math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)]
                             for k in range(16)])
-HULL_SHELL = 0.98  # the extreme points are sought first beyond this share of the largest radius
 
 
 def _shadow_areas(S: np.ndarray, R: float, planes):
@@ -102,30 +101,18 @@ def _hull_candidates(pts: np.ndarray, B: np.ndarray, R: float) -> np.ndarray:
     (1 - 1e-9) r_in, less the whitening round-off 8 eps cond(r) R, lies
     strictly inside that polygon, so strictly inside the hull of the points
     kept: it is not a vertex, and dropping it leaves the hull unchanged.
-
-    The extreme points are first sought among the points of whitened radius
-    above t = HULL_SHELL times the largest.  A point within radius t projects
-    to at most t on a unit direction, so when every maximum found clears t by
-    more than round-off, they are the extreme points of the full scan.
     """
     r = np.linalg.qr(B.T, mode="r")
     w = np.empty_like(pts)
     w[0] = pts[0] / r[0, 0]
     w[1] = (pts[1] - r[0, 1] * w[0]) / r[1, 1]
-    rad2 = w[0] ** 2 + w[1] ** 2
-    t = HULL_SHELL * math.sqrt(rad2.max())
-    outer = w[:, rad2 > t * t]
-    k = [np.argmax(u @ outer) for u in HULL_DIRECTIONS]  # in counterclockwise order
-    if all(u @ outer[:, i] > t * (1.0 + 1e-9) for u, i in zip(HULL_DIRECTIONS, k)):
-        ext = outer[:, k]
-    else:  # the full scan
-        ext = w[:, [np.argmax(u @ w) for u in HULL_DIRECTIONS]]
+    ext = w[:, [np.argmax(u @ w) for u in HULL_DIRECTIONS]]  # in counterclockwise order
     nxt = np.roll(ext, -1, axis=1)
     length = np.hypot(*(nxt - ext))
     dist = (ext[0] * nxt[1] - ext[1] * nxt[0])[length > 0] / length[length > 0]
     r_in = max(float(dist.min()), 0.0) if dist.size else 0.0
     cut = r_in * (1.0 - 1e-9) - 8 * np.finfo(float).eps * np.linalg.cond(r) * R
-    return rad2 >= max(cut, 0.0) ** 2
+    return w[0] ** 2 + w[1] ** 2 >= max(cut, 0.0) ** 2
 
 
 def mc_projection_area(S: SymplecticMatrix, R: float, j: int,

@@ -19,7 +19,7 @@ from symcap import (
     random_symplectic,
     shadow_report,
 )
-from symcap.squeeze import HULL_DIRECTIONS, HULL_SHELL, NONSQUEEZE_BLOCK, _hull_candidates
+from symcap.squeeze import NONSQUEEZE_BLOCK, _hull_candidates
 
 
 def shear_matrix():
@@ -240,41 +240,6 @@ def test_hull_prefilter_keeps_every_vertex(samples):
         # qhull's sums run in an order set by all of its input points
         assert mc_projection_area(S, 1.3, j, samples, k) == \
             pytest.approx(full.volume, rel=16 * np.finfo(float).eps)
-
-
-def full_scan_candidates(pts, B, R):
-    """_hull_candidates with its directional maxima taken over every point."""
-    r = np.linalg.qr(B.T, mode="r")
-    w = np.empty_like(pts)
-    w[0] = pts[0] / r[0, 0]
-    w[1] = (pts[1] - r[0, 1] * w[0]) / r[1, 1]
-    ext = w[:, [np.argmax(u @ w) for u in HULL_DIRECTIONS]]
-    nxt = np.roll(ext, -1, axis=1)
-    length = np.hypot(*(nxt - ext))
-    dist = (ext[0] * nxt[1] - ext[1] * nxt[0])[length > 0] / length[length > 0]
-    r_in = max(float(dist.min()), 0.0) if dist.size else 0.0
-    cut = r_in * (1.0 - 1e-9) - 8 * np.finfo(float).eps * np.linalg.cond(r) * R
-    return w[0] ** 2 + w[1] ** 2 >= max(cut, 0.0) ** 2
-
-
-def shell_holds(pts, B):
-    """Whether every directional maximum lies beyond the HULL_SHELL radius, so that
-    _hull_candidates scans only the outer points."""
-    w = np.linalg.solve(np.linalg.qr(B.T, mode="r").T, pts)
-    t = HULL_SHELL * np.sqrt(np.max(w[0] ** 2 + w[1] ** 2))
-    return bool(np.all(np.max(HULL_DIRECTIONS @ w, axis=1) > t * (1.0 + 1e-9)))
-
-
-@pytest.mark.parametrize("samples", [3, 4, 16, 10**3, 10**5])
-def test_hull_prefilter_mask_equals_full_scan(samples):
-    shell = 0
-    for k, (S, j) in enumerate(HULL_MAPS):
-        B = S.entries[[j - 1, S.n + j - 1]]
-        pts = projected_sphere(S, 1.3, j, samples, k)
-        assert np.array_equal(_hull_candidates(pts, B, 1.3), full_scan_candidates(pts, B, 1.3))
-        shell += shell_holds(pts, B)
-    if samples == 10**5:  # the outer scan runs at least on the maps with n <= 3
-        assert shell >= 6
 
 
 def test_hull_prefilter_drops_the_interior():
