@@ -129,7 +129,7 @@ PhaseRegion = Union[Ball, Ellipsoid, SolidTorus, Cylinder, AffineImage]
 
 @dataclass(frozen=True)
 class CapacityValue:
-    """A capacity in action units; bounds bracket the value when not exact."""
+    """A finite capacity in action units; bounds bracket the value when not exact."""
 
     value: float
     exact: bool
@@ -137,8 +137,8 @@ class CapacityValue:
 
     def __post_init__(self):
         lo, hi = self.bounds
-        if not (lo <= self.value <= hi):
-            raise ValidationError(f"capacity bounds {self.bounds} do not bracket {self.value}")
+        if not (lo <= self.value <= hi and math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"capacity {self.value} must be finite and within {self.bounds}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -158,14 +158,12 @@ def capacity(region: PhaseRegion) -> CapacityValue:
     solid tori give pi * min_j R_j^2; affine images inherit the capacity of
     the underlying region (invariance axiom, no geometric recomputation).
     """
-    if isinstance(region, Ball):
-        return _exact(math.pi * region.radius**2)
-    if isinstance(region, Cylinder):
-        return _exact(math.pi * region.radius**2)
+    if isinstance(region, (Ball, Cylinder)):
+        return _exact(math.pi * (region.radius * region.radius))
     if isinstance(region, SolidTorus):
-        return _exact(math.pi * min(region.radii) ** 2)
+        return _exact(math.pi * min(r * r for r in region.radii))
     if isinstance(region, Ellipsoid):
-        mu_max = symplectic_spectrum(region.hessian).mu[-1]
+        mu_max = float(symplectic_spectrum(region.hessian).mu[-1])  # numpy would warn on overflow
         return _exact(2.0 * math.pi * region.level / mu_max)
     if isinstance(region, AffineImage):
         return capacity(region.inner)
@@ -218,8 +216,8 @@ def sandwich_capacity(inner_radius: float, outer_radius: float, j: int) -> Capac
         raise InconsistentCertificateError(
             f"B({inner_radius}) inside Z_{j}({outer_radius}) contradicts non-squeezing"
         )
-    lo = math.pi * inner_radius**2
-    hi = math.pi * outer_radius**2
+    lo = math.pi * (inner_radius * inner_radius)
+    hi = math.pi * (outer_radius * outer_radius)
     if inner_radius == outer_radius:
         return _exact(lo)
     return CapacityValue(value=lo, exact=False, bounds=(lo, hi))

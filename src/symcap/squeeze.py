@@ -43,10 +43,17 @@ HULL_DIRECTIONS = np.array([[math.cos(k * math.pi / 8), math.sin(k * math.pi / 8
                             for k in range(16)])
 
 
+def _area_in_range(area, R: float):
+    """area (a float or an array) if positive and finite, else a ValidationError naming R."""
+    if not np.all((area > 0) & np.isfinite(area)):
+        raise ValidationError(f"ball radius R = {R} puts an area out of the float range")
+    return area
+
+
 def _shadow_areas(S: np.ndarray, R: float, planes):
     """(projection areas, slice areas) of S(B(R)) on each conjugate plane j in planes,
     for a stack S of shape (T, 2n, 2n): two (T, len(planes)) arrays."""
-    positive("ball radius", R)
+    R = positive("ball radius", R)
     n = S.shape[-1] // 2
     idx = np.array([plane_indices(n, j) for j in planes])  # (k, 2)
     J = standard_form_matrix(n)
@@ -55,8 +62,10 @@ def _shadow_areas(S: np.ndarray, R: float, planes):
         r = np.linalg.qr(np.swapaxes(A[:, idx], 2, 3), mode="r")
         return np.abs(r[..., 0, 0] * r[..., 1, 1])
 
-    disk = math.pi * R**2
-    return disk * gram_root(S), disk / gram_root(J @ S @ J.T)
+    disk = math.pi * (R * R)
+    with np.errstate(over="ignore"):
+        proj, inter = disk * gram_root(S), disk / gram_root(J @ S @ J.T)
+    return _area_in_range(proj, R), _area_in_range(inter, R)
 
 
 def projection_area(S: SymplecticMatrix, R: float, j: int) -> float:
@@ -85,20 +94,20 @@ class ShadowReport:
 
 def shadow_report(S: SymplecticMatrix, R: float, j: int) -> ShadowReport:
     ((proj,),), ((inter,),) = _shadow_areas(S.entries[None], R, [j])
-    bound = math.pi * R**2
+    bound = math.pi * (R * R)
     return ShadowReport(j=j, projection_area=float(proj), intersection_area=float(inter),
                         projection_ratio=float(proj / bound),
                         intersection_ratio=float(inter / bound))
 
 
-def _hull_candidates(pts: np.ndarray, B: np.ndarray, R: float) -> np.ndarray:
-    """Mask of the points pts (2, m) of the shadow B(|u| = R) that may be hull vertices.
+def _hull_candidates(pts: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Mask of the points pts (2, m) of the shadow B(|u| = 1) that may be hull vertices.
 
     With B^T = Q r, the factor r^T of B B^T = r^T r whitens the shadow into the
-    disk of radius R.  The points extreme in the 16 HULL_DIRECTIONS span a
+    unit disk.  The points extreme in the 16 HULL_DIRECTIONS span a
     polygon, in whitened coordinates, with inradius r_in about the origin (0
     when the origin is not inside it).  A point whose whitened radius is below
-    (1 - 1e-9) r_in, less the whitening round-off 8 eps cond(r) R, lies
+    (1 - 1e-9) r_in, less the whitening round-off 8 eps cond(r), lies
     strictly inside that polygon, so strictly inside the hull of the points
     kept: it is not a vertex, and dropping it leaves the hull unchanged.
     """
@@ -111,7 +120,7 @@ def _hull_candidates(pts: np.ndarray, B: np.ndarray, R: float) -> np.ndarray:
     length = np.hypot(*(nxt - ext))
     dist = (ext[0] * nxt[1] - ext[1] * nxt[0])[length > 0] / length[length > 0]
     r_in = max(float(dist.min()), 0.0) if dist.size else 0.0
-    cut = r_in * (1.0 - 1e-9) - 8 * np.finfo(float).eps * np.linalg.cond(r) * R
+    cut = r_in * (1.0 - 1e-9) - 8 * np.finfo(float).eps * np.linalg.cond(r)
     return w[0] ** 2 + w[1] ** 2 >= max(cut, 0.0) ** 2
 
 
@@ -121,9 +130,9 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
 
     The shadow of the convex body S(B(R)) equals the projection of its
     boundary S(|u| = R), so the hull of projected sphere samples never
-    exceeds it.  For n >= 3 the projected density still vanishes at the
-    shadow boundary, so the hull falls short: up to 0.95% at 10^6 samples
-    on n = 3 maps drawn at spread 0.6.
+    exceeds it; the samples lie on |u| = 1 and R^2 scales the hull area.  For
+    n >= 3 the projected density still vanishes at the shadow boundary, so the
+    hull falls short: up to 0.95% at 10^6 samples on n = 3 maps drawn at spread 0.6.
 
     Only the points _hull_candidates keeps go to qhull.  The others lie
     strictly inside the hull, so the hull is unchanged; its area can still
@@ -132,7 +141,7 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     """
     from scipy.spatial import ConvexHull
 
-    positive("ball radius", R)
+    R = positive("ball radius", R)
     B = S.entries[plane_indices(S.n, j)]
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(samples, 2 * S.n))
@@ -141,30 +150,30 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     norm = np.square(g[:, 0])
     for k in range(1, 2 * S.n):
         norm += np.square(g[:, k])
-    g *= (R / np.sqrt(norm))[:, None]
+    g *= (1.0 / np.sqrt(norm))[:, None]
     pts = B @ g.T  # (2, samples)
     del g  # free the samples before the prefilter allocates
-    return float(ConvexHull(pts[:, _hull_candidates(pts, B, R)].T).volume)
+    return _area_in_range(ConvexHull(pts[:, _hull_candidates(pts, B)].T).volume * (R * R), R)
 
 
 def mc_intersection_area(S: SymplecticMatrix, R: float, j: int,
                          samples: int = 10**6, seed: int = 0) -> float:
     """Monte-Carlo oracle: rejection-sampled area of the central plane slice.
 
-    Membership is tested through |S^{-1} z| <= R only, independent of the
+    Membership is tested through |S^{-1} z| <= 1 only, independent of the
     closed-form determinant expression.  Samples fill the bounding box of the
-    slice {w : |C w| <= R}, whose half-widths are R sqrt(((C^T C)^{-1})_ii).
+    slice {w : |C w| <= 1}, half-widths sqrt(((C^T C)^{-1})_ii); R^2 scales the area.
     """
-    positive("ball radius", R)
+    R = positive("ball radius", R)
     idx = plane_indices(S.n, j)
     rng = np.random.default_rng(seed)
     Sinv = S.inverse().entries
     cols = Sinv[:, idx]  # preimage of a plane point (w1, w2) is cols @ w
 
-    half = R * np.sqrt(np.diag(np.linalg.inv(cols.T @ cols)))
+    half = np.sqrt(np.diag(np.linalg.inv(cols.T @ cols)))
     pre = rng.uniform(-half, half, size=(samples, 2)) @ cols.T
-    frac = float(np.count_nonzero(np.einsum("ij,ij->i", pre, pre) <= R**2)) / samples
-    return 4.0 * float(np.prod(half)) * frac
+    frac = float(np.count_nonzero(np.einsum("ij,ij->i", pre, pre) <= 1.0)) / samples
+    return _area_in_range(4.0 * float(np.prod(half)) * frac * (R * R), R)
 
 
 @dataclass
@@ -204,7 +213,8 @@ def nonsqueeze_verify(n: int, trials: int, seed: int, R: float = 1.0,
     """
     if trials < 1:
         raise ValidationError(f"need trials >= 1, got {trials}")
-    bound = math.pi * positive("ball radius", R) ** 2
+    R = positive("ball radius", R)
+    bound = math.pi * (R * R)
     report = NonsqueezeReport(n=n, trials=trials, seed=seed)
     for start in range(0, trials, NONSQUEEZE_BLOCK):
         seeds = [(seed * 1_000_003 + t) % 2**63

@@ -136,30 +136,32 @@ class SymplecticCheck(NamedTuple):
     residual: float
 
 
-def _symplectic_residuals(S: np.ndarray):
-    """max|S^T J S - J| and max|S|^2 of each matrix of a stack S of shape (T, 2n, 2n)."""
+def _symplectic_residuals(S: np.ndarray, tol: float):
+    """max|S^T J S - J| of each matrix of a stack S of shape (T, 2n, 2n), and whether
+    it is <= tol * max|S|^2 (False where max|S|^2 overflows)."""
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise DimensionError(f"expected square matrices, got shape {S.shape[1:]}")
     if S.shape[-1] % 2:
         raise DimensionError(f"symplectic matrices have even order, got {S.shape[-1]}")
     J = standard_form_matrix(S.shape[-1] // 2)
-    residual = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J).max(axis=(1, 2))
-    scale = np.maximum(np.abs(S).max(axis=(1, 2)) ** 2, np.finfo(float).tiny)
-    return residual, scale
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test
+        residual = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J).max(axis=(1, 2))
+        scale = np.maximum(np.abs(S).max(axis=(1, 2)) ** 2, np.finfo(float).tiny)
+    return residual, (residual <= tol * scale) & np.isfinite(scale)
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     """Test whether M preserves the standard form.
 
     Returns (ok, residual) where residual = max|M^T J M - J| and the test is
-    residual <= tol * max|M|^2.  The residual is returned regardless of the
-    verdict so callers can report near-misses.
+    residual <= tol * max|M|^2, which fails when max|M|^2 overflows.  The residual
+    is returned regardless of the verdict so callers can report near-misses.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    (residual,), (scale,) = _symplectic_residuals(M[None])
-    return SymplecticCheck(bool(residual <= tol * scale), float(residual))
+    (residual,), (ok,) = _symplectic_residuals(M[None], tol)
+    return SymplecticCheck(bool(ok), float(residual))
 
 
 def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -167,19 +169,19 @@ def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 
     S^T J S = J must hold to residual <= tol * max|S|^2 (see is_symplectic),
     and |det S - 1| must stay within max(10 tol max(1, |det S|),
-    DET_ROUNDOFF eps |S|_F^2).
+    DET_ROUNDOFF eps |S|_F^2).  A scale or a limit that overflows fails.
     """
-    residual, scale = _symplectic_residuals(S)
-    bad = ~(residual <= tol * scale)
-    if bad.any():
+    residual, ok = _symplectic_residuals(S, tol)
+    if not ok.all():
         raise ValidationError(
-            f"matrix is not symplectic: residual {residual[bad.argmax()]:.3e} "
+            f"matrix is not symplectic: residual {residual[ok.argmin()]:.3e} "
             f"exceeds {tol:.1e} * |S|^2"
         )
-    det = np.linalg.det(S)
-    limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
-                       DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
-    bad = np.abs(det - 1.0) > limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(S)
+        limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
+                           DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
+    bad = ~((np.abs(det - 1.0) <= limit) & np.isfinite(limit))
     if bad.any():  # argmax: the first bad matrix
         raise ValidationError(f"det S = {float(det[bad.argmax()])!r}, expected 1")
 
@@ -285,6 +287,18 @@ def expm(A) -> np.ndarray:
     return E.reshape(A.shape)
 
 
+def _plane_rotations(theta: np.ndarray) -> np.ndarray:
+    """exp(J diag(theta, theta)) for theta (..., n): the rotations by theta_j in the
+    conjugate planes j, as a (..., 2n, 2n) stack."""
+    n = theta.shape[-1]
+    i = np.arange(n)
+    rot = np.zeros((*theta.shape[:-1], 2 * n, 2 * n))
+    rot[..., i, i] = rot[..., n + i, n + i] = np.cos(theta)
+    rot[..., i, n + i] = np.sin(theta)
+    rot[..., n + i, i] = -np.sin(theta)
+    return rot
+
+
 def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
     """The unvalidated stack (T, 2n, 2n) behind random_symplectic, one map per seed."""
     if n < 1:
@@ -298,12 +312,7 @@ def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
         theta[k] = rng.uniform(0.0, 2.0 * np.pi, size=n)
     A = (A + np.swapaxes(A, 2, 3)) / 2.0
     E = expm(standard_form_matrix(n) @ A)
-    i = np.arange(n)
-    rot = np.zeros((len(seeds), 2 * n, 2 * n))
-    rot[:, i, i] = rot[:, n + i, n + i] = np.cos(theta)
-    rot[:, i, n + i] = np.sin(theta)
-    rot[:, n + i, i] = -np.sin(theta)
-    return E[:, 0] @ E[:, 1] @ rot
+    return E[:, 0] @ E[:, 1] @ _plane_rotations(theta)
 
 
 def random_symplectic_stack(n: int, seeds, spread: float = 1.0) -> np.ndarray:
@@ -359,24 +368,19 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
                     tol: float = DEFAULT_TOL) -> SymplecticMatrix:
     """Exact flow map exp(t J R) of the quadratic Hamiltonian.
 
-    Satisfies the composition law S(t1) S(t2) = S(t1 + t2) on the entries.  Its
-    round-off grows with |t| |R|; past ``tol`` it raises a ValidationError naming t.
-    With expm's [13/13] Pade approximant the symplectic residual is about
-    2e-11 |S|^2 at |t| = 1e6 on R = I and on [[2, .3], [.3, .5]]; on a grid of ten
-    times per decade the flow first fails the default tol at t = 2.5e7 on both,
-    and at t = 1e8 the residual is 4e-9 and 1e-8 |S|^2.
+    With the Williamson form S^T R S = diag(mu, mu) it is S rot(t mu) S^{-1}, a
+    rotation by t mu_j in each normal plane, so its round-off does not grow with
+    |t|.  A non-finite angle t mu_j raises a ValidationError naming t.
     """
-    if not np.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
-    R, n = H.hessian, H.n
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        E = expm(float(t) * np.concatenate([R[n:], -R[:n]]))  # J R without forming J
-    try:
-        if not np.isfinite(E).all():
-            raise ValidationError("its entries overflow")
-        return SymplecticMatrix(E, tol)
-    except ValidationError as exc:
-        raise ValidationError(f"flow map at t = {t!r} is out of tolerance: {exc}") from exc
+    from .williamson import _normal_form
+
+    mu, S = _normal_form(H.hessian)
+    with np.errstate(over="ignore"):
+        theta = float(t) * mu
+    if not np.isfinite(theta).all():
+        raise ValidationError(f"flow angle t * mu must be finite, got t = {t!r}")
+    J = standard_form_matrix(H.n)
+    return SymplecticMatrix(S @ _plane_rotations(theta) @ (-J @ S.T @ J), tol)
 
 
 def flow_energy_drift(H: QuadraticHamiltonian, z0, times) -> float:

@@ -9,6 +9,10 @@ The mu_j are the positive imaginary parts of the eigenvalues of J R.  The
 quadratic Hamiltonian H(z) = 1/2 z . R z then flows with angular frequencies
 omega_j = mu_j, and the level set 1/2 z . R z <= level is, in normal
 coordinates, the ellipsoid with conjugate-plane radii sqrt(2 * level / mu_j).
+
+One Hermitian eigendecomposition (_normal_form) gives both mu and S, for the
+spectrum, the decomposition and the flow exp(t J R) = S rot(t mu) S^{-1} of
+symcore.quad_propagator alike.
 """
 
 from __future__ import annotations
@@ -62,67 +66,47 @@ class WilliamsonDecomposition:
     residual: float
 
 
-def symplectic_spectrum(R) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of a positive-definite symmetric matrix.
+def _normal_form(R: np.ndarray):
+    """(mu, S) with S^T R S = diag(mu, mu), mu ascending and S symplectic, for a validated R.
 
-    The mu_j are read off from the spectrum of J R, whose eigenvalues come in
-    pairs +/- i mu_j for positive-definite R.
+    K = R^{-1/2} J R^{-1/2} is antisymmetric, so iK is Hermitian with eigenvalues
+    -1/mu_1 < ... <= -1/mu_n < 0 < 1/mu_n <= ... <= 1/mu_1.  The conjugate of an
+    eigenvector a + ib of -1/mu_j belongs to +1/mu_j, so v^T w = 0 for any two of the
+    n eigenvectors of the negative half, v = w and repeated mu included: O = sqrt(2)
+    [a | b] is orthogonal, O^T K O = J diag(1/mu, 1/mu), and S = R^{-1/2} O diag(mu, mu)^{1/2}.
     """
-    R = validate_posdef(R)
     n = R.shape[0] // 2
-    ev = np.linalg.eigvals(standard_form_matrix(n) @ R)
-    imag = np.sort(ev.imag)
-    mu = imag[n:]  # positive half of the +/- i mu pairs, ascending
+    w, U = np.linalg.eigh(R)
+    half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
+    K = half_inv @ standard_form_matrix(n) @ half_inv
+    lam, V = np.linalg.eigh(1j * K)  # reads the lower triangle: K is taken antisymmetric
+    mu = -1.0 / lam[:n]
+    O = np.concatenate([V[:, :n].real, V[:, :n].imag], axis=1)
+    return mu, half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
+
+
+def symplectic_spectrum(R) -> SymplecticSpectrum:
+    """Symplectic eigenvalues of a positive-definite symmetric matrix (see _normal_form)."""
+    mu = _normal_form(validate_posdef(R))[0]
     return SymplecticSpectrum(mu=mu, radii=np.sqrt(2.0 / mu), omega=mu.copy())
 
 
 def williamson_decompose(R) -> WilliamsonDecomposition:
-    """Symplectic congruence of R to diag(mu, mu).
+    """Symplectic congruence of R to diag(mu, mu), built by _normal_form.
 
-    Construction: with K = R^{-1/2} J R^{-1/2} (antisymmetric), bring K to
-    canonical skew form by a real Schur orthogonal congruence, then assemble
-    S = R^{-1/2} O D^{1/2}.  Only the residual bound
-    |S^T R S - D| <= 1e-8 |R| is contractual.
+    Only the residual bound |S^T R S - D| <= 1e-8 |R| is contractual.
     """
-    from scipy.linalg import schur
-
     R = validate_posdef(R)
-    n = R.shape[0] // 2
-    J = standard_form_matrix(n)
-
-    w, U = np.linalg.eigh(R)
-    half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
-    K = half_inv @ J @ half_inv
-    K = (K - K.T) / 2.0
-    T, O = schur(K, output="real")
-
-    nus = np.empty(n)
-    for b in range(n):
-        nu = T[2 * b, 2 * b + 1]
-        if nu < 0:
-            O[:, [2 * b, 2 * b + 1]] = O[:, [2 * b + 1, 2 * b]]
-            nu = -nu
-        nus[b] = nu
-
-    # nu_b = 1/mu_b; sort blocks so mu ascends
-    order = np.argsort(-nus)
-    mu = 1.0 / nus[order]
-    cols = [2 * b for b in order] + [2 * b + 1 for b in order]
-    O = O[:, cols]
-
-    d_half = np.concatenate([np.sqrt(mu), np.sqrt(mu)])
-    S_mat = half_inv @ O @ np.diag(d_half)
-    D = np.diag(np.concatenate([mu, mu]))
-    residual = _maxabs(S_mat.T @ R @ S_mat - D)
+    mu, S = _normal_form(R)
+    residual = _maxabs(S.T @ R @ S - np.diag(np.concatenate([mu, mu])))
     bound = 1e-8 * max(_maxabs(R), np.finfo(float).tiny)
     if residual > bound:
         raise NumericalError(
             f"Williamson residual {residual:.3e} exceeds bound {bound:.3e} "
-            f"(n={n}, spectrum range {mu[0]:.3e}..{mu[-1]:.3e})"
+            f"(n={len(mu)}, spectrum range {mu[0]:.3e}..{mu[-1]:.3e})"
         )
     spectrum = SymplecticSpectrum(mu=mu, radii=np.sqrt(2.0 / mu), omega=mu.copy())
-    return WilliamsonDecomposition(S=SymplecticMatrix(S_mat), spectrum=spectrum,
-                                   residual=residual)
+    return WilliamsonDecomposition(S=SymplecticMatrix(S), spectrum=spectrum, residual=residual)
 
 
 def normal_radii(R, level: float) -> np.ndarray:

@@ -161,18 +161,30 @@ def test_flow_energy_drift_is_relative(capsys):
     assert json.loads(out)["energy_drift"] == drift <= 1e-14
 
 
-def test_flow_energy_drift_under_loose_tol(capsys):
-    # at t = 1e8 the propagator's residual is about 1e-8 |S|^2: it fails the
-    # default tol, so the drift must come from the propagator built under --tol
+def test_flow_tol_reaches_the_propagator(capsys):
+    # the flow map at t = 1e8 passes the default tol; a --tol below its round-off
+    # (its symplectic residual is not 0) must reject it in quad_propagator
     argv = ["flow", "--hessian", "[[2.0, 0.3], [0.3, 0.5]]", "--t", "1e8", "--z0", "1.0,0.5"]
-    code, _ = run(capsys, *argv)
-    assert code != EXIT_OK
-    code, out = run(capsys, "--tol", "1e-6", *argv)
+    code, out = run(capsys, *argv)
     assert code == EXIT_OK
     obj = json.loads(out)
     H = QuadraticHamiltonian(np.array([[2.0, 0.3], [0.3, 0.5]]))
     e0 = H.value(np.array([1.0, 0.5]))
-    assert obj["energy_drift"] == abs(H.value(np.array(obj["z_t"])) - e0) / e0 < 1e-6
+    assert obj["energy_drift"] == abs(H.value(np.array(obj["z_t"])) - e0) / e0 <= 1e-12
+    assert dispatch(["--tol", "1e-20", *argv]) == EXIT_INPUT
+    assert "exceeds 1.0e-20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [1e17, 1e300], ids=["flow-t-1e17", "flow-t-1e300"])
+def test_flow_at_huge_t_is_the_exact_rotation(capsys, t):
+    # the flow of the unit Hessian rotates by t, however large t is
+    code, out = run(capsys, "flow", "--hessian", "[[1, 0], [0, 1]]", "--t", repr(t),
+                    "--z0", "1.0,0.5")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    rotation = [[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]]
+    assert np.abs(np.array(obj["propagator"]["rows"]) - rotation).max() <= 1e-15
+    assert obj["energy_drift"] <= 1e-12
 
 
 def test_flow_zero_point_is_input_error(capsys):
@@ -275,8 +287,16 @@ NONFINITE = {
                          "1e+200"),
     "maslov-torus-inf": (["maslov", "--torus", "inf,1"], "inf"),
     "maslov-torus-nan": (["maslov", "--torus", "nan,1"], "nan"),
-    "flow-t-1e17": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1e17"], "t = 1e+17"),
-    "flow-t-1e300": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1e300"], "t = 1e+300"),
+    "flow-angle-overflow": (["flow", "--hessian", "[[1e10, 0], [0, 1e10]]", "--t", "1e300"],
+                            "t = 1e+300"),
+    "flow-t-inf": (["flow", "--hessian", UNIT_HESSIAN, "--t", "inf"], "t = inf"),
+    "ball-capacity-overflow": (_region({"variant": "Ball", "R": 1e160}), "capacity"),
+    "cylinder-capacity-overflow": (_region({"variant": "Cylinder", "j": 1, "r": 1e160}),
+                                   "capacity"),
+    "torus-capacity-overflow": (_region({"variant": "SolidTorus", "radii": [1e160, 1e160]}),
+                                "capacity"),
+    "ellipsoid-capacity-overflow": (_region({"variant": "Ellipsoid", "level": 1e10,
+                                             "hessian": [[1e-300, 0], [0, 1e-300]]}), "capacity"),
     "ellipsoid-hessian-nan": (_region({"variant": "Ellipsoid", "hessian": [[math.nan, 0], [0, 1]]}),
                               "nan"),
 }

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, only
-symcore.positive compares a value with infinity, and the scipy modules load
-only in the functions that need them: importing the CLI loads none of them,
-symcore imports none at all, and the subcommands that need no Williamson
-decomposition never load scipy.linalg."""
+symcore.positive compares a value with infinity, no module imports scipy.linalg,
+and the other scipy modules load only in the functions that need them:
+importing the CLI loads none of them, symcore imports none at all, and the
+subcommands that need no hull, quadrature or root finding never load
+scipy.linalg (scipy.spatial, scipy.integrate and scipy.optimize load it)."""
 
 import ast
 import os
@@ -72,6 +73,26 @@ def test_symcore_imports_no_scipy():
     modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m and m.split(".")[0] == "scipy"]
+
+
+def scipy_linalg_imports(path: Path) -> list:
+    """Lines that import scipy.linalg or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name.startswith("scipy.linalg") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    assert scipy_linalg_imports(path) == []
 
 
 NO_LINALG = {

@@ -22,6 +22,7 @@ from symcap import (
     scale_region,
 )
 from symcap.regions import (
+    CapacityValue,
     InconsistentCertificateError,
     UnsupportedCombinationError,
     _shadow_extent,
@@ -152,6 +153,21 @@ def test_sandwich_bounds():
 def test_sandwich_inconsistent():
     with pytest.raises(InconsistentCertificateError):
         sandwich_capacity(2.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: capacity(Ball(np.zeros(2), 1e160)),
+    lambda: capacity(Cylinder(1, np.zeros(2), 1e160)),
+    lambda: capacity(SolidTorus((1e160, 1e161))),
+    lambda: capacity(Ellipsoid(np.zeros(2), 1e-300 * np.eye(2), 1e10)),
+    lambda: sandwich_capacity(1.0, 1e160, 1),
+    lambda: CapacityValue(math.nan, True, (math.nan, math.nan)),
+], ids=["ball", "cylinder", "solid-torus", "ellipsoid", "sandwich", "nan"])
+def test_capacity_must_be_finite(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(ValidationError, match="must be finite"):
+            make()
 
 
 def test_inclusion_ball_in_cylinder():

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,22 +232,22 @@ HULL_MAPS = [(shear_matrix(), 1)] + [(random_symplectic(n, 7 * n, spread), 1 + n
 @pytest.mark.parametrize("samples", [3, 4, 16, 10**3, 10**5])
 def test_hull_prefilter_keeps_every_vertex(samples):
     for k, (S, j) in enumerate(HULL_MAPS):
-        pts = projected_sphere(S, 1.3, j, samples, k)
+        pts = projected_sphere(S, 1.0, j, samples, k)
         full = ConvexHull(pts.T)
-        keep = _hull_candidates(pts, S.entries[[j - 1, S.n + j - 1]], 1.3)
+        keep = _hull_candidates(pts, S.entries[[j - 1, S.n + j - 1]])
         assert keep[full.vertices].all()
         kept = ConvexHull(pts[:, keep].T)
         assert sorted(map(tuple, kept.points[kept.vertices])) == \
             sorted(map(tuple, full.points[full.vertices]))
         # qhull's sums run in an order set by all of its input points
         assert mc_projection_area(S, 1.3, j, samples, k) == \
-            pytest.approx(full.volume, rel=16 * np.finfo(float).eps)
+            pytest.approx(1.3 * 1.3 * full.volume, rel=16 * np.finfo(float).eps)
 
 
 def test_hull_prefilter_drops_the_interior():
     S = random_symplectic(2, seed=11, spread=0.3)
     pts = projected_sphere(S, 1.0, 1, 10**5, 0)
-    assert np.count_nonzero(_hull_candidates(pts, S.entries[[0, 2]], 1.0)) < 10**4
+    assert np.count_nonzero(_hull_candidates(pts, S.entries[[0, 2]])) < 10**4
 
 
 @pytest.mark.parametrize("S, j, seed", [(shear_matrix(), 1, 0),
@@ -255,3 +257,28 @@ def test_hull_prefilter_drops_the_interior():
 def test_mc_projection_area_equals_full_hull_at_full_samples(S, j, seed):
     full = ConvexHull(projected_sphere(S, 1.0, j, 10**6, seed).T)
     assert mc_projection_area(S, 1.0, j, 10**6, seed) == full.volume
+
+
+@pytest.mark.parametrize("R", [1e160, 1e-170])
+def test_areas_out_of_float_range_name_the_radius(R):
+    # pi R^2 overflows at 1e160 and underflows to 0 at 1e-170; both R are valid inputs
+    S = random_symplectic(2, 1, 0.3)
+    calls = [lambda: projection_area(S, R, 1), lambda: intersection_area(S, R, 1),
+             lambda: shadow_report(S, R, 1), lambda: mc_projection_area(S, R, 1, 10**4),
+             lambda: mc_intersection_area(S, R, 1, 10**4),
+             lambda: nonsqueeze_verify(2, 3, seed=0, R=R)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValidationError, match=re.escape(f"R = {R!r}")):
+                call()
+
+
+def test_areas_scale_by_r_squared_near_the_float_range():
+    S = random_symplectic(2, 1, 0.3)
+    for R in (1e150, 1e-150):
+        for area in (projection_area, intersection_area):
+            assert area(S, R, 1) == pytest.approx(area(S, 1.0, 1) * R * R, rel=1e-14)
+        for area in (mc_projection_area, mc_intersection_area):
+            assert area(S, R, 1, 10**4) == pytest.approx(area(S, 1.0, 1, 10**4) * R * R,
+                                                          rel=1e-14)

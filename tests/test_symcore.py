@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,26 @@ def test_validate_symplectic_checks_every_matrix_of_a_stack():
         validate_symplectic(stack)
     with pytest.raises(DimensionError):
         validate_symplectic(np.zeros((2, 3, 3)))
+
+
+@pytest.mark.parametrize("M", [[[1e200, 1e200], [0.0, 1.0]],   # det 1e200
+                               [[1e200, 0.0], [0.0, 1e-200]]],  # in Sp(1)
+                         ids=["det-1e200", "diagonal"])
+def test_overflowing_scale_is_rejected_without_warnings(M):
+    # max|M|^2 overflows, so the relative residual test cannot be made
+    M = np.array(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            SymplecticMatrix(M)
+        assert not is_symplectic(M).ok
+
+
+def test_overflowing_det_limit_is_rejected_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="det S = 0.0"):
+            SymplecticMatrix(np.full((2, 2), 1e154))  # |M|_F^2 overflows
 
 
 def test_symplectic_matrix_json_roundtrip():

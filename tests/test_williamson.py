@@ -14,7 +14,7 @@ from symcap import (
     symplectic_spectrum,
     williamson_decompose,
 )
-from symcap.symcore import QuadraticHamiltonian
+from symcap.symcore import QuadraticHamiltonian, standard_form_matrix, validate_posdef
 
 
 def random_posdef(n2, seed):
@@ -148,3 +148,76 @@ def test_csv_export():
     assert float(mu) == pytest.approx(2.0)
     assert float(radius) == pytest.approx(1.0)
     assert float(omega) == float(mu)
+
+
+def hessian_with_spectrum(mu, S):
+    """R = S^T diag(mu, mu) S, whose symplectic spectrum is mu."""
+    R = S.T @ np.diag(np.concatenate([mu, mu])) @ S
+    return (R + R.T) / 2.0
+
+
+def spectrum_reference(R):
+    """The positive imaginary parts of the eigenvalues of J R, ascending."""
+    n = R.shape[0] // 2
+    return np.sort(np.linalg.eigvals(standard_form_matrix(n) @ R).imag)[n:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_decompose_multiples_of_the_identity(n):
+    # every mu_j is repeated; measured: mu within 2 eps of c, residual 6e-16 c
+    for c in 10.0 ** np.arange(-300, 301, 25):
+        dec = williamson_decompose(c * np.eye(2 * n))
+        assert np.max(np.abs(dec.spectrum.mu / c - 1.0)) <= 4 * np.finfo(float).eps
+        assert dec.residual <= 1e-8 * c
+
+
+# at spread 2 and n = 10, cond(S)^2 passes 1e12 and R = S^T D S is no longer positive
+# definite in floating point
+@pytest.mark.parametrize("n, spread", [(n, 1.0) for n in (1, 2, 3, 5, 10)] +
+                         [(n, 2.0) for n in (1, 2, 3, 5)])
+def test_decompose_repeated_and_distinct_spectra(n, spread):
+    # measured: |mu - exact| <= 0.4 eps cond(R) max(mu) at these spreads
+    checked = 0
+    for seed in range(6):
+        mu = np.sort([np.full(n, 1.5), np.repeat([0.5, 2.0], n)[:n],
+                      np.linspace(0.5, 2.0, n)][seed % 3])
+        R = hessian_with_spectrum(mu, random_symplectic(n, seed, spread).entries)
+        try:
+            validate_posdef(R)
+        except ValidationError:
+            continue  # numerically indefinite: not a valid input
+        dec = williamson_decompose(R)  # residual <= 1e-8 |R| or NumericalError
+        bound = np.finfo(float).eps * np.linalg.cond(R) * mu[-1]
+        assert np.max(np.abs(dec.spectrum.mu - mu)) <= bound
+        assert np.max(np.abs(symplectic_spectrum(R).mu - mu)) <= bound
+        checked += 1
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spectrum_matches_eigenvalues_of_JR(seed):
+    n = 1 + seed % 10
+    R = random_posdef(2 * n, seed)
+    ref = spectrum_reference(R)
+    assert np.max(np.abs(symplectic_spectrum(R).mu - ref) / ref) <= 1e-10
+
+
+def test_spectrum_of_diag_4_1_is_exact():
+    assert symplectic_spectrum(np.diag([4.0, 1.0])).mu.tolist() == [2.0]
+
+
+def test_flow_of_an_ill_conditioned_hessian():
+    # R = S^T diag(1, 2, 1, 2) S with cond(S) about 9e3: expm(t J R) missed the det
+    # limit at t = 0.7 (det 0.99999985); the flow is S^-1 rot(t mu) S
+    S = random_symplectic(2, 17, 1.0).entries
+    mu = np.array([1.0, 2.0])
+    R = hessian_with_spectrum(mu, S)
+    flow = quad_propagator(QuadraticHamiltonian(R), 0.7).entries
+    J = standard_form_matrix(2)
+    theta = 0.7 * mu
+    c, s = np.diag(np.tile(np.cos(theta), 2)), np.diag(np.sin(theta))
+    rot = c + np.block([[np.zeros((2, 2)), s], [-s, np.zeros((2, 2))]])
+    exact = -J @ S.T @ J @ rot @ S
+    # measured 1.2e-9 relative; the frequencies carry eps cond(R) round-off
+    assert np.max(np.abs(flow - exact)) <= np.finfo(float).eps * np.linalg.cond(R) * \
+        np.max(np.abs(exact))
