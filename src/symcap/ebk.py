@@ -9,6 +9,7 @@ monotone K every level is bounded below by K(hbar/2, ..., hbar/2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -239,9 +240,34 @@ def projection_area_bound(entry: EBKLevel, hbar: float = 1.0):
 
 # --- 1D action quadrature ----------------------------------------------------
 
-def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
-    from scipy.optimize import brentq
+# Gauss-Legendre orders: the first rule, doubled until two agree, and the last allowed
+GL_FIRST, GL_LAST = 16, 1024
+MOMENTUM_CAP = 1e12  # a momentum bracket that passes it means an unbounded level set
+ILLINOIS_STEPS = 100
+ROOT_RTOL = 4 * np.finfo(float).eps  # a momentum bracket this narrow relative to p has converged
 
+
+@functools.cache
+def _sine_rule(order: int):
+    """(sin theta_k, w_k cos theta_k) of the Gauss-Legendre rule on theta in [-pi/2, pi/2]."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    theta = 0.5 * math.pi * t
+    return np.sin(theta), 0.5 * math.pi * w * np.cos(theta)
+
+
+def _bisect(V, energy, inside, outside):
+    """The turning point between V(inside) <= E < V(outside), to the last float inside."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return inside
+        if V(mid) > energy:
+            outside = mid
+        else:
+            inside = mid
+
+
+def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
     if V(x0) > energy:
         # walk toward lower potential to find a classically allowed point
         for step in 2.0 ** np.arange(-6, 21):
@@ -263,12 +289,45 @@ def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
             if abs(nxt) > max_range:
                 raise NonCompactOrbitError("no turning point found: orbit not compact")
             if V(nxt) > energy:
-                return brentq(lambda s: V(s) - energy, min(x, nxt), max(x, nxt),
-                              xtol=1e-12, rtol=8.9e-16)
+                return _bisect(V, energy, x, nxt)
             x = nxt
             step *= 2.0
 
     return expand(-1.0), expand(+1.0)
+
+
+def _widths(hamiltonian, x, energy):
+    """p+(x) - p-(x) with H(x, p+-) = E at each node x, zero where H(x, 0) >= E.
+
+    Both branches of every node are one array: each root is bracketed in [0, hi],
+    hi doubling from 1, and all are refined together by the Illinois variant of
+    false position (Dowell and Jarratt 1971) until every bracket is within 4 eps |p|.
+    """
+    v = hamiltonian(x, np.zeros_like(x)) - energy
+    inside = np.flatnonzero(v < 0)
+    xs, sign = np.tile(x[inside], 2), np.repeat([1.0, -1.0], inside.size)
+    f = lambda p: hamiltonian(xs, sign * p) - energy
+    a, fa = np.zeros(xs.size), np.tile(v[inside], 2)
+    hi = 1.0
+    b, fb = np.full(xs.size, hi), f(hi)
+    low = np.flatnonzero(fb < 0)
+    while low.size:
+        hi *= 2.0
+        if hi > MOMENTUM_CAP:
+            raise NonCompactOrbitError("level set unbounded in momentum")
+        b[low], fb[low] = hi, hamiltonian(xs[low], sign[low] * hi) - energy
+        low = low[fb[low] < 0]
+    for _ in range(ILLINOIS_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        swap = (fc > 0) != (fb > 0)  # the root lies between c and b
+        a, fa = np.where(swap, b, a), np.where(swap, fb, 0.5 * fa)
+        b, fb = c, fc
+        if np.all((fc == 0) | (np.abs(b - a) <= ROOT_RTOL * np.abs(c))):
+            width = np.zeros(x.size)
+            width[inside] = b.reshape(2, -1).sum(axis=0)
+            return width
+    raise DegenerateInputError("momentum root finder did not converge")
 
 
 def action_quadrature_1d(hamiltonian: Callable, energy: float,
@@ -276,39 +335,34 @@ def action_quadrature_1d(hamiltonian: Callable, energy: float,
     """Action I = (1/2 pi) * (area enclosed by the level curve H(x, p) = E).
 
     Assumes a kinetic-plus-potential profile: H is even-increasing in |p| at
-    fixed x, with V(x) = H(x, 0).  The momentum branches p+(x) >= 0 >= p-(x)
-    are found by bisection and integrated between the turning points after a
-    sine substitution that absorbs the square-root endpoints.
+    fixed x, with V(x) = H(x, 0).  H is called elementwise on numpy arrays x
+    and p of one shape (and on floats for V).  The turning points are found by
+    bisection and the momentum branches p+(x) >= 0 >= p-(x) by false position;
+    their width is integrated by Gauss-Legendre rules after a sine substitution
+    that absorbs the square-root endpoints.  The order doubles from 16 until
+    two successive rules agree to rel_tol, their difference standing in for
+    the error of the finer one, which is returned; a potential that is not
+    smooth inside the well may not get there by order 1024 and raises
+    DegenerateInputError.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
     V = lambda x: hamiltonian(x, 0.0)
     x_lo, x_hi = _bracket_turning_points(V, energy)
     if not x_hi > x_lo:
         raise NonCompactOrbitError("degenerate level set (turning points coincide)")
-
-    def branch(x, sign):
-        if V(x) >= energy:
-            return 0.0
-        hi = 1.0
-        while hamiltonian(x, sign * hi) < energy:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NonCompactOrbitError("level set unbounded in momentum")
-        return abs(brentq(lambda p: hamiltonian(x, sign * p) - energy, 0.0, hi,
-                          xtol=1e-14, rtol=8.9e-16))
-
     mid = 0.5 * (x_lo + x_hi)
     half = 0.5 * (x_hi - x_lo)
 
-    def integrand(theta):
-        x = mid + half * math.sin(theta)
-        width = branch(x, +1.0) + branch(x, -1.0)
-        return width * half * math.cos(theta)
+    def area(order):
+        sines, weights = _sine_rule(order)
+        return half * float(weights @ _widths(hamiltonian, mid + half * sines, energy))
 
-    area, err = quad(integrand, -math.pi / 2, math.pi / 2,
-                     epsabs=0.0, epsrel=rel_tol, limit=200)
-    if energy != 0 and err > 10 * rel_tol * abs(area):
-        raise DegenerateInputError(f"quadrature error estimate {err:.3e} too large")
-    return area / (2.0 * math.pi)
+    order, coarse = GL_FIRST, area(GL_FIRST)
+    while order < GL_LAST:
+        order *= 2
+        fine = area(order)
+        gap = abs(fine - coarse)
+        if gap <= rel_tol * abs(fine):
+            return fine / (2.0 * math.pi)
+        coarse = fine
+    raise DegenerateInputError(f"Gauss-Legendre areas at orders {order // 2} and {order} "
+                               f"differ by {gap:.3e}")

@@ -136,9 +136,11 @@ class SymplecticCheck(NamedTuple):
     residual: float
 
 
-def _symplectic_residuals(S: np.ndarray, tol: float):
-    """max|S^T J S - J| of each matrix of a stack S of shape (T, 2n, 2n), and whether
-    it is <= tol * max|S|^2 (False where max|S|^2 overflows)."""
+def _symplectic_verdicts(S: np.ndarray, tol: float):
+    """Residual max|S^T J S - J| of each matrix of a stack S of shape (T, 2n, 2n),
+    whether it is <= tol * max|S|^2, det S, and whether |det S - 1| is within
+    max(10 tol max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A scale or a limit
+    that overflows fails."""
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise DimensionError(f"expected square matrices, got shape {S.shape[1:]}")
     if S.shape[-1] % 2:
@@ -147,43 +149,42 @@ def _symplectic_residuals(S: np.ndarray, tol: float):
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test
         residual = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J).max(axis=(1, 2))
         scale = np.maximum(np.abs(S).max(axis=(1, 2)) ** 2, np.finfo(float).tiny)
-    return residual, (residual <= tol * scale) & np.isfinite(scale)
+        det = np.linalg.det(S)
+        limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
+                           DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
+    return (residual, (residual <= tol * scale) & np.isfinite(scale),
+            det, (np.abs(det - 1.0) <= limit) & np.isfinite(limit))
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     """Test whether M preserves the standard form.
 
-    Returns (ok, residual) where residual = max|M^T J M - J| and the test is
-    residual <= tol * max|M|^2, which fails when max|M|^2 overflows.  The residual
-    is returned regardless of the verdict so callers can report near-misses.
+    Returns (ok, residual) where residual = max|M^T J M - J| and ok is the verdict
+    of validate_symplectic: the residual test and the det test both hold.  The
+    residual is returned regardless of the verdict so callers can report near-misses.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    (residual,), (ok,) = _symplectic_residuals(M[None], tol)
-    return SymplecticCheck(bool(ok), float(residual))
+    (residual,), (ok,), _, (det_ok,) = _symplectic_verdicts(M[None], tol)
+    return SymplecticCheck(bool(ok and det_ok), float(residual))
 
 
 def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Raise ValidationError unless every matrix of the stack S (T, 2n, 2n) is in Sp(n).
 
-    S^T J S = J must hold to residual <= tol * max|S|^2 (see is_symplectic),
-    and |det S - 1| must stay within max(10 tol max(1, |det S|),
-    DET_ROUNDOFF eps |S|_F^2).  A scale or a limit that overflows fails.
+    S^T J S = J must hold to residual <= tol * max|S|^2, and |det S - 1| must stay
+    within max(10 tol max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A scale or a
+    limit that overflows fails.
     """
-    residual, ok = _symplectic_residuals(S, tol)
+    residual, ok, det, det_ok = _symplectic_verdicts(S, tol)
     if not ok.all():
         raise ValidationError(
             f"matrix is not symplectic: residual {residual[ok.argmin()]:.3e} "
             f"exceeds {tol:.1e} * |S|^2"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(S)
-        limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
-                           DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
-    bad = ~((np.abs(det - 1.0) <= limit) & np.isfinite(limit))
-    if bad.any():  # argmax: the first bad matrix
-        raise ValidationError(f"det S = {float(det[bad.argmax()])!r}, expected 1")
+    if not det_ok.all():  # argmin: the first bad matrix
+        raise ValidationError(f"det S = {float(det[det_ok.argmin()])!r}, expected 1")
 
 
 @dataclass(frozen=True)

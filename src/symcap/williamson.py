@@ -11,8 +11,9 @@ omega_j = mu_j, and the level set 1/2 z . R z <= level is, in normal
 coordinates, the ellipsoid with conjugate-plane radii sqrt(2 * level / mu_j).
 
 One Hermitian eigendecomposition (_normal_form) gives both mu and S, for the
-spectrum, the decomposition and the flow exp(t J R) = S rot(t mu) S^{-1} of
-symcore.quad_propagator alike.
+decomposition and the flow exp(t J R) = S rot(t mu) S^{-1} of
+symcore.quad_propagator alike; the spectrum alone takes only the eigenvalues
+of the same Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ class WilliamsonDecomposition:
     residual: float
 
 
+def _hermitian_form(R: np.ndarray):
+    """(R^{-1/2}, K = R^{-1/2} J R^{-1/2}) for a validated R; see _normal_form."""
+    w, U = np.linalg.eigh(R)
+    half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
+    return half_inv, half_inv @ standard_form_matrix(R.shape[0] // 2) @ half_inv
+
+
 def _normal_form(R: np.ndarray):
     """(mu, S) with S^T R S = diag(mu, mu), mu ascending and S symplectic, for a validated R.
 
@@ -76,9 +84,7 @@ def _normal_form(R: np.ndarray):
     [a | b] is orthogonal, O^T K O = J diag(1/mu, 1/mu), and S = R^{-1/2} O diag(mu, mu)^{1/2}.
     """
     n = R.shape[0] // 2
-    w, U = np.linalg.eigh(R)
-    half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
-    K = half_inv @ standard_form_matrix(n) @ half_inv
+    half_inv, K = _hermitian_form(R)
     lam, V = np.linalg.eigh(1j * K)  # reads the lower triangle: K is taken antisymmetric
     mu = -1.0 / lam[:n]
     O = np.concatenate([V[:, :n].real, V[:, :n].imag], axis=1)
@@ -86,8 +92,10 @@ def _normal_form(R: np.ndarray):
 
 
 def symplectic_spectrum(R) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of a positive-definite symmetric matrix (see _normal_form)."""
-    mu = _normal_form(validate_posdef(R))[0]
+    """Symplectic eigenvalues of a positive-definite symmetric matrix: -1/mu_j are the
+    n negative eigenvalues of the Hermitian iK of _normal_form, taken without eigenvectors."""
+    R = validate_posdef(R)
+    mu = -1.0 / np.linalg.eigvalsh(1j * _hermitian_form(R)[1])[:R.shape[0] // 2]
     return SymplecticSpectrum(mu=mu, radii=np.sqrt(2.0 / mu), omega=mu.copy())
 
 

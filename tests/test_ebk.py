@@ -6,6 +6,7 @@ import pytest
 
 from symcap import (
     ActionHamiltonian,
+    DegenerateInputError,
     ValidationError,
     action_quadrature_1d,
     capacity_condition,
@@ -259,4 +260,35 @@ def test_action_quadrature_empty_level_set():
 def test_action_quadrature_open_orbit():
     H = lambda x, p: 0.5 * p**2 - x  # no right turning point
     with pytest.raises(NonCompactOrbitError):
+        action_quadrature_1d(H, 1.0)
+
+
+def test_action_quadrature_unbounded_momentum():
+    # for |x| < 1, H = x^2/2 + 1 - exp(-p^2) stays below 1.5 at every p
+    H = lambda x, p: 0.5 * x**2 + 1.0 - np.exp(-p**2)
+    with pytest.raises(NonCompactOrbitError, match="momentum"):
+        action_quadrature_1d(H, 1.5)
+
+
+@pytest.mark.parametrize("E", [0.1, 1.0, 3.0])
+def test_action_quadrature_morse_exact(E):
+    D, a = 4.0, 0.7
+    H = lambda x, p: 0.5 * p**2 + D * (1.0 - np.exp(-a * x)) ** 2
+    exact = math.sqrt(2.0 * D) / a * (1.0 - math.sqrt(1.0 - E / D))
+    assert action_quadrature_1d(H, E) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("H, rel_tol", [
+    (lambda x, p: 0.5 * p**2 + 0.5 * x**2, 1e-20),  # below round-off
+    (lambda x, p: 0.5 * p**2 + np.abs(x), 1e-10),   # a kink: Gauss-Legendre converges slowly
+], ids=["round-off", "kink"])
+def test_action_quadrature_non_convergence_raises(H, rel_tol):
+    with pytest.raises(DegenerateInputError, match="orders 512 and 1024"):
+        action_quadrature_1d(H, 1.0, rel_tol=rel_tol)
+
+
+def test_action_quadrature_nan_momentum_raises():
+    # H is NaN beyond |p| = 0.5, so no momentum bracket can converge
+    H = lambda x, p: np.where(np.abs(p) > 0.5, np.nan, 0.5 * p**2 + 0.5 * x**2)
+    with pytest.raises(DegenerateInputError, match="root finder"):
         action_quadrature_1d(H, 1.0)

@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module, only
-symcore.positive compares a value with infinity, no module imports scipy.linalg,
-and the other scipy modules load only in the functions that need them:
-importing the CLI loads none of them, symcore imports none at all, and the
-subcommands that need no hull, quadrature or root finding never load
-scipy.linalg (scipy.spatial, scipy.integrate and scipy.optimize load it)."""
+symcore.positive compares a value with infinity, no module imports
+scipy.linalg, scipy.integrate or scipy.optimize, and scipy.spatial, the
+Monte Carlo hull's, loads only in the function that needs it: importing the
+CLI loads no scipy submodule, symcore imports none at all, the subcommands
+that need no hull never load scipy.linalg (scipy.spatial loads it), and the
+action-quadrature check loads neither scipy.integrate nor scipy.optimize."""
 
 import ast
 import os
@@ -75,8 +76,8 @@ def test_symcore_imports_no_scipy():
     assert modules and not [m for m in modules if m and m.split(".")[0] == "scipy"]
 
 
-def scipy_linalg_imports(path: Path) -> list:
-    """Lines that import scipy.linalg or a name from it."""
+def scipy_imports(path: Path, modules) -> list:
+    """Lines that import one of the modules, a submodule or a name from one."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -85,14 +86,26 @@ def scipy_linalg_imports(path: Path) -> list:
             names = [f"{node.module}.{a.name}" for a in node.names]
         else:
             continue
-        if any(name.startswith("scipy.linalg") for name in names):
+        if any(name == m or name.startswith(m + ".") for name in names for m in modules):
             lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_linalg(path):
-    assert scipy_linalg_imports(path) == []
+    assert scipy_imports(path, ("scipy.linalg",)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_integrate_or_optimize(path):
+    assert scipy_imports(path, ("scipy.integrate", "scipy.optimize")) == []
+
+
+def test_action_quadrature_check_loads_no_scipy_integrate_or_optimize():
+    code = ("import sys\nfrom symcap import acceptance\n"
+            "assert acceptance.check_action_quadrature(acceptance.AcceptanceConfig()).ok\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    assert _run(code).splitlines()[-1] == "[]"
 
 
 NO_LINALG = {

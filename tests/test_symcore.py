@@ -187,6 +187,31 @@ def test_overflowing_scale_is_rejected_without_warnings(M):
         assert not is_symplectic(M).ok
 
 
+@pytest.mark.parametrize("M, det", [(np.diag([1e6, 2e-6]), "2.0"),       # doubles areas
+                                    (np.full((2, 2), 1e154), "0.0")],  # det limit overflows
+                         ids=["area-doubling", "det-limit-overflow"])
+def test_is_symplectic_applies_the_det_test(M, det):
+    # the residual test alone passes both: |det M - 1| <= 1e-9 max|M|^2
+    assert not is_symplectic(M).ok
+    with pytest.raises(ValidationError, match=f"det S = {det}"):
+        validate_symplectic(M[None])
+
+
+# np.full((2, 2), 1e100) is singular, but within entrywise round-off of a matrix in Sp(1)
+@pytest.mark.parametrize("M", [np.eye(2), np.diag([2.0, 2.0]), np.full((2, 2), 1e100),
+                               np.diag([1e200, 1e-200]), np.diag([3.0, -1.0 / 3.0]),
+                               np.diag([-1.0, -1.0, -1.0, -1.0])],
+                         ids=["identity", "scaling", "round-off-singular", "overflow",
+                              "det-minus-1", "minus-identity"])
+def test_is_symplectic_agrees_with_validate_symplectic(M):
+    try:
+        validate_symplectic(M[None])
+        valid = True
+    except ValidationError:
+        valid = False
+    assert is_symplectic(M).ok == valid
+
+
 def test_overflowing_det_limit_is_rejected_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
