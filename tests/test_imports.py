@@ -1,10 +1,11 @@
 """Every name a module of the package imports is used in that module, only
-symcore.positive compares a value with infinity, no module imports
-scipy.linalg, scipy.integrate or scipy.optimize, and scipy.spatial, the
-Monte Carlo hull's, loads only in the function that needs it: importing the
-CLI loads no scipy submodule, symcore imports none at all, the subcommands
-that need no hull never load scipy.linalg (scipy.spatial loads it), and the
-action-quadrature check loads neither scipy.integrate nor scipy.optimize."""
+symcore.positive compares a value with infinity, and no module imports
+scipy, which the package does not depend on: the lint below covers the
+earlier per-submodule lints on scipy.linalg, scipy.integrate and
+scipy.optimize, which stay.  At run time, importing the CLI loads no scipy
+submodule, the light subcommands never load scipy.linalg, the
+action-quadrature check loads neither scipy.integrate nor scipy.optimize,
+and the Monte Carlo hull loads no scipy module at all."""
 
 import ast
 import os
@@ -92,6 +93,11 @@ def scipy_imports(path: Path, modules) -> list:
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path, ("scipy",)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_linalg(path):
     assert scipy_imports(path, ("scipy.linalg",)) == []
 
@@ -105,6 +111,13 @@ def test_action_quadrature_check_loads_no_scipy_integrate_or_optimize():
     code = ("import sys\nfrom symcap import acceptance\n"
             "assert acceptance.check_action_quadrature(acceptance.AcceptanceConfig()).ok\n"
             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    assert _run(code).splitlines()[-1] == "[]"
+
+
+def test_mc_projection_area_loads_no_scipy():
+    code = ("import sys\nfrom symcap import mc_projection_area, random_symplectic\n"
+            "assert mc_projection_area(random_symplectic(2, 1, 0.3), 1.0, 1, 10**4) > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run(code).splitlines()[-1] == "[]"
 
 
