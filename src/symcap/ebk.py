@@ -66,35 +66,53 @@ class ActionHamiltonian:
         actions = np.asarray(actions, dtype=float)
         if self.gradient is not None:
             return np.asarray(self.gradient(actions), dtype=float)
-        return self._fd_grad(actions)
+        return self._differences(actions[None])[0]
 
-    def _fd_grad(self, actions) -> np.ndarray:
-        out = np.empty(self.n)
-        for j in range(self.n):
-            h = FD_STEP * max(abs(actions[j]), 1.0)
-            up, dn = actions.copy(), actions.copy()
-            up[j] += h
-            dn[j] -= h
-            out[j] = (self.K(up) - self.K(dn)) / (2.0 * h)
-        return out
+    def _differences(self, I) -> np.ndarray:
+        """Central differences of K at every row of I, one K call per perturbed point."""
+        m, n = I.shape
+        h = FD_STEP * np.maximum(np.abs(I), 1.0)
+        j = np.arange(n)
+        pts = np.broadcast_to(I[:, None, None, :], (m, n, 2, n)).copy()
+        pts[:, j, 0, j] += h  # pts[k, j] = (I_k + h_kj e_j, I_k - h_kj e_j)
+        pts[:, j, 1, j] -= h
+        K = np.array([float(self.K(p)) for p in pts.reshape(-1, n)]).reshape(m, n, 2)
+        return (K[..., 0] - K[..., 1]) / (2.0 * h)
 
     def check_monotone(self, samples: int = 1000, seed: int = 0,
                        box: tuple = (1e-3, 10.0)) -> bool:
-        """Spot-check dK/dI > 0 (and gradient vs finite differences) on the orthant."""
-        rng = np.random.default_rng(seed)
-        lo, hi = box
-        for _ in range(samples):
-            I = rng.uniform(lo, hi, size=self.n)
-            g = self.grad(I)
-            if np.any(g <= 0):
-                return False
-            if self.gradient is not None:
-                excess = np.abs(g - self._fd_grad(I)) - 1e-5 * np.abs(g)
-                if np.any(excess > 0) and np.any(  # the round-off bound costs a call of K
-                        excess * FD_STEP * np.maximum(np.abs(I), 1.0)
-                        > FD_ROUNDOFF * np.finfo(float).eps * abs(self.K(I))):
+        """Spot-check dK/dI > 0 (and gradient vs finite differences) on the orthant.
+
+        The actions are drawn uniformly in box = (lo, hi), 0 < lo < hi, and a
+        sample fails if any component of its gradient is not both > 0 and
+        finite.  A declared gradient that disagrees with the central differences
+        beyond their round-off raises ValidationError if that happens at a sample
+        before the first failing one.  K is evaluated at the 2n difference points
+        of every sample before the verdict, also when an earlier sample fails.
+        """
+        if samples < 1:
+            raise ValidationError(f"need samples >= 1, got {samples}")
+        lo, hi = positive("box", box)
+        if not lo < hi:
+            raise ValidationError(f"box needs lo < hi, got {box}")
+        I = np.random.default_rng(seed).uniform(lo, hi, size=(samples, self.n))
+        fd = self._differences(I)
+        if self.gradient is None:
+            g = fd
+        else:
+            g = np.empty_like(I)
+            for k, row in enumerate(I):
+                g[k] = self.grad(row)
+        failed = np.flatnonzero(~np.all(np.isfinite(g) & (g > 0), axis=1))
+        first = failed[0] if failed.size else samples
+        if self.gradient is not None:
+            excess = np.abs(g[:first] - fd[:first]) - 1e-5 * np.abs(g[:first])
+            for k in np.flatnonzero(np.any(excess > 0, axis=1)):
+                # the round-off bound costs a call of K, so only suspect samples pay it
+                if np.any(excess[k] * FD_STEP * np.maximum(np.abs(I[k]), 1.0)
+                          > FD_ROUNDOFF * np.finfo(float).eps * abs(self.K(I[k]))):
                     raise ValidationError("declared gradient disagrees with finite differences")
-        return True
+        return not failed.size
 
 
 def oscillator_hamiltonian(omegas) -> ActionHamiltonian:
@@ -168,9 +186,14 @@ def energy_levels(K: ActionHamiltonian, maslov, n_max: int, hbar: float = 1.0) -
     entries = []
     for N, I in quantized_actions(maslov, n_max, hbar):
         try:
-            energy = K.energy(I)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                energy = K.energy(I)
         except Exception as exc:
             raise ValidationError(f"K failed at actions {I.tolist()}: {exc}") from exc
+        area = 2.0 * math.pi * max(I.tolist())  # the largest plane area pi R_j^2 = 2 pi I_j
+        if not (math.isfinite(energy) and math.isfinite(area)):
+            raise ValidationError(f"EBK level at actions {I.tolist()} with hbar = {hbar!r} "
+                                  f"overflows: energy {energy!r}, plane area {area!r}")
         entries.append(EBKLevel(N=N, maslov=maslov, actions=I,
                                 radii=torus_radii_from_actions(I), energy=energy))
     entries.sort(key=lambda e: (e.energy, e.N))

@@ -282,6 +282,10 @@ NONFINITE = {
     "ebk-oscillator-nan": (["ebk", "--K", "oscillator:nan", "--maslov", "2", "--Nmax", "0"], "nan"),
     "ebk-oscillator-inf": (["ebk", "--K", "oscillator:inf", "--maslov", "2", "--Nmax", "0"], "inf"),
     "ebk-power-nan": (["ebk", "--K", "power:nan", "--maslov", "2", "--Nmax", "0"], "nan"),
+    "ebk-energy-overflow": (["--hbar", "1e308", "ebk", "--K", "oscillator:10", "--maslov", "2",
+                             "--Nmax", "1"], "hbar = 1e+308"),
+    "ebk-power-overflow": (["ebk", "--K", "power:1e308", "--maslov", "2", "--Nmax", "1"],
+                           "actions [1.5]"),
     "flow-z0-inf": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1", "--z0", "inf,0"], "inf"),
     "flow-z0-overflow": (["flow", "--hessian", UNIT_HESSIAN, "--t", "1", "--z0", "1e200,0"],
                          "1e+200"),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from symcap import (
     torus_radii_from_actions,
     verify_energy_bound,
 )
-from symcap.ebk import InvalidMaslovError, NonCompactOrbitError, TheoremHypothesisError
+from symcap.ebk import (
+    FD_ROUNDOFF,
+    FD_STEP,
+    InvalidMaslovError,
+    NonCompactOrbitError,
+    TheoremHypothesisError,
+)
 
 
 def test_quantized_actions_ground_1d():
@@ -151,6 +158,150 @@ def test_check_monotone_catches_a_gradient_error_differences_resolve(declared):
                           gradient=lambda I: np.array(declared), monotone=True)
     with pytest.raises(ValidationError, match="declared gradient"):
         K.check_monotone()
+
+
+def reference_fd_grad(K, actions):
+    """The per-coordinate central differences that check_monotone replaced."""
+    out = np.empty(K.n)
+    for j in range(K.n):
+        h = FD_STEP * max(abs(actions[j]), 1.0)
+        up, dn = actions.copy(), actions.copy()
+        up[j] += h
+        dn[j] -= h
+        out[j] = (K.K(up) - K.K(dn)) / (2.0 * h)
+    return out
+
+
+def reference_check_monotone(K, samples=1000, seed=0, box=(1e-3, 10.0)):
+    """The one-sample-at-a-time spot check that check_monotone replaced."""
+    rng = np.random.default_rng(seed)
+    lo, hi = box
+    for _ in range(samples):
+        I = rng.uniform(lo, hi, size=K.n)
+        g = (np.asarray(K.gradient(I), dtype=float) if K.gradient is not None
+             else reference_fd_grad(K, I))
+        if np.any(g <= 0):
+            return False
+        if K.gradient is not None:
+            excess = np.abs(g - reference_fd_grad(K, I)) - 1e-5 * np.abs(g)
+            if np.any(excess > 0) and np.any(
+                    excess * FD_STEP * np.maximum(np.abs(I), 1.0)
+                    > FD_ROUNDOFF * np.finfo(float).eps * abs(K.K(I))):
+                raise ValidationError("declared gradient disagrees with finite differences")
+    return True
+
+
+def _verdict(check, K):
+    try:
+        return check(K)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _power_sum(a, n, declared):
+    return ActionHamiltonian(K=lambda I: float(np.sum(I**a)), n=n, monotone=True,
+                             gradient=(lambda I: a * I ** (a - 1)) if declared else None)
+
+
+def _quartic(I):
+    return float(np.sum(I**2) + np.prod(I))
+
+
+def _wrong_after_first_failure():
+    # K = I_1; the declared gradient is 0 below I_1 = 1 and 2 (wrong) from I_1 = 9 on
+    return ActionHamiltonian(K=lambda I: float(I[0]), n=1, monotone=True,
+                             gradient=lambda I: np.array([0.0 if I[0] < 1 else
+                                                          2.0 if I[0] >= 9 else 1.0]))
+
+
+def _oscillators():
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        for k in range(3):
+            yield f"oscillator n={n} #{k}", oscillator_hamiltonian(10.0 ** rng.uniform(-12, 6, n))
+    yield "oscillator 1e6, 1e-12", oscillator_hamiltonian([1e6, 1e-12])
+
+
+EQUIVALENCE_SET = {
+    **dict(_oscillators()),
+    **{f"power a={a} n={n} declared={d}": _power_sum(a, n, d)
+       for a in (0.5, 1.0, 2.0, 3.0, -1.0) for n in (1, 3) for d in (False, True)},
+    "quartic": ActionHamiltonian(K=_quartic, n=3, monotone=True),
+    "decreasing": ActionHamiltonian(K=lambda I: float(-I[0]), n=1, monotone=True),
+    **{f"decreasing from 9 declared={d}": ActionHamiltonian(
+        K=lambda I: float(-(I[0] - 9.0) ** 2), n=1,
+        gradient=(lambda I: -2.0 * (I - 9.0)) if d else None) for d in (False, True)},
+    **{f"wrong declared gradient {g}": ActionHamiltonian(
+        K=oscillator_hamiltonian([1e6, 1e-12]).K, n=2, gradient=lambda I, g=g: np.array(g))
+       for g in ([1e6, 1.0], [1e6 * (1.0 + 1e-4), 1e-12])},
+    "wrong after the first failure": _wrong_after_first_failure(),
+}
+
+
+@pytest.mark.parametrize("K", EQUIVALENCE_SET.values(), ids=EQUIVALENCE_SET.keys())
+def test_check_monotone_matches_the_per_sample_loop(K):
+    assert _verdict(ActionHamiltonian.check_monotone, K) == _verdict(reference_check_monotone, K)
+
+
+def test_check_monotone_ignores_a_gradient_error_after_the_first_failure():
+    I = np.random.default_rng(0).uniform(1e-3, 10.0, 1000)
+    assert np.argmax(I < 1) < np.argmax(I >= 9)  # a non-positive sample comes first
+    assert _wrong_after_first_failure().check_monotone() is False
+
+
+def test_check_monotone_draws_the_per_sample_actions():
+    rng = np.random.default_rng(0)
+    per_sample = np.array([rng.uniform(1e-3, 10.0, size=3) for _ in range(1000)])
+    seen = []
+    K = ActionHamiltonian(K=lambda I: float(np.sum(I)), n=3,
+                          gradient=lambda I: seen.append(I.copy()) or np.ones(3))
+    assert K.check_monotone()
+    assert np.array_equal(np.array(seen), per_sample)
+
+
+def test_grad_is_bit_identical_to_the_per_coordinate_differences():
+    Ks = [_power_sum(2.0, 3, False), _power_sum(0.5, 2, False), ActionHamiltonian(K=_quartic, n=3),
+          ActionHamiltonian(K=lambda I: float(math.exp(I[0]) * I[1]), n=2)]
+    rng = np.random.default_rng(9)
+    for k in range(10_000):  # random actions over eight decades
+        K = Ks[k % len(Ks)]
+        I = 10.0 ** rng.uniform(-6, 2, K.n)
+        assert np.array_equal(K.grad(I), reference_fd_grad(K, I))
+
+
+@pytest.mark.parametrize("gradient", [None, lambda I: np.array([np.nan]),
+                                      lambda I: np.array([np.inf])],
+                         ids=["nan-differences", "nan-declared", "inf-declared"])
+def test_non_finite_gradient_fails_the_spot_check(gradient):
+    K = ActionHamiltonian(K=lambda I: math.nan, n=1, gradient=gradient, monotone=True)
+    assert K.check_monotone() is False
+    spec = energy_levels(oscillator_hamiltonian([1.0]), (2,), 1)
+    with pytest.raises(TheoremHypothesisError, match="spot check"):
+        verify_energy_bound(K, spec)
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}, {"box": (-5.0, -1.0)},
+                                    {"box": (0.0, 1.0)}, {"box": (2.0, 1.0)}, {"box": (1.0, 1.0)},
+                                    {"box": (1.0, math.inf)}, {"box": (math.nan, 1.0)}],
+                         ids=["samples-0", "samples-negative", "box-negative", "box-zero",
+                              "box-reversed", "box-empty", "box-infinite", "box-nan"])
+def test_check_monotone_validates_its_inputs(kwargs):
+    decreasing = ActionHamiltonian(K=lambda I: float(-I[0]), n=1, monotone=True)
+    with pytest.raises(ValidationError):
+        decreasing.check_monotone(**kwargs)
+
+
+@pytest.mark.parametrize("K, hbar, n_max", [
+    (oscillator_hamiltonian([10.0]), 1e308, 1),                       # K overflows
+    (ActionHamiltonian(K=lambda I: float(np.sum(I**1e308)), n=1), 1.0, 1),  # K overflows
+    (oscillator_hamiltonian([1e-10]), 1e308, 0),                      # 2 pi I overflows
+    (ActionHamiltonian(K=lambda I: math.nan, n=1), 1.0, 0),           # K is NaN
+], ids=["oscillator", "power", "plane-area", "nan"])
+def test_energy_levels_refuses_overflow(K, hbar, n_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="with hbar"):
+            energy_levels(K, (2,), n_max, hbar)
 
 
 def test_verify_energy_bound_power():
