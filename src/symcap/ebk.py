@@ -140,7 +140,10 @@ def quantized_actions(maslov, n_max: int, hbar: float = 1.0):
 
 def torus_radii_from_actions(actions) -> np.ndarray:
     """R_j = sqrt(2 I_j) for the invariant torus carrying the actions."""
-    return np.sqrt(2.0 * np.atleast_1d(positive("actions", actions)))
+    I = np.atleast_1d(positive("actions", actions))
+    if np.any(I > np.finfo(float).max / 2.0):
+        raise ValidationError(f"actions {I.tolist()} overflow 2 I in the torus radii")
+    return np.sqrt(2.0 * I)
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ class EBKSpectrum:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def to_csv(self, path_or_file=None) -> str:
+    def to_csv(self) -> str:
         rows = []
         for e in self.entries:
             check = capacity_condition(e, self.hbar)
@@ -174,8 +177,7 @@ class EBKSpectrum:
                          " ".join(repr(float(a)) for a in e.actions),
                          " ".join(repr(float(r)) for r in e.radii),
                          repr(e.energy), repr(check.capacity), check.satisfied])
-        return write_csv(["N", "actions", "radii", "energy", "capacity", "satisfied"],
-                         rows, path_or_file)
+        return write_csv(["N", "actions", "radii", "energy", "capacity", "satisfied"], rows)
 
 
 def energy_levels(K: ActionHamiltonian, maslov, n_max: int, hbar: float = 1.0) -> EBKSpectrum:
@@ -256,9 +258,13 @@ class PlaneAreaCheck:
 def projection_area_bound(entry: EBKLevel, hbar: float = 1.0):
     """Per-plane check that the torus shadow area pi R_j^2 is >= h/2."""
     half_h = math.pi * positive("hbar", hbar)
-    return [PlaneAreaCheck(j=j + 1, area=math.pi * r**2,
-                           satisfied=math.pi * r**2 >= half_h - 1e-12)
-            for j, r in enumerate(positive("torus radii", entry.radii).tolist())]
+    checks = []
+    for j, r in enumerate(positive("torus radii", entry.radii).tolist()):
+        area = math.pi * (r * r)
+        if not math.isfinite(area):
+            raise ValidationError(f"plane area pi R^2 of torus radius {r!r} overflows")
+        checks.append(PlaneAreaCheck(j=j + 1, area=area, satisfied=area >= half_h - 1e-12))
+    return checks
 
 
 # --- 1D action quadrature ----------------------------------------------------

@@ -19,6 +19,7 @@ from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_in
 
 CLOSURE_TOL = 1e-8  # max principal angle between endpoint planes
 SNAP_TOL = 0.1      # max |raw winding - integer| accepted
+MAX_DEPTH = 20      # max bisections of one det-phase step
 
 
 class ClosureError(ValueError):
@@ -168,27 +169,27 @@ def _interp_frame(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     return np.vstack([U.real, U.imag])
 
 
-def _phase_step(q0, q1, w0_det, w1_det, depth, max_depth):
+def _phase_step(q0, q1, w0_det, w1_det, depth):
     """Phase of det w from orthonormal frame q0 to q1, bisecting steps >= pi/2."""
     step = np.angle(w1_det * np.conj(w0_det))
     if abs(step) < np.pi / 2:
         return step, depth
-    if depth >= max_depth:
+    if depth >= MAX_DEPTH:
         raise SamplingTooCoarseError(
             "det-phase step stayed >= pi/2 after refinement; sample the loop more densely"
         )
     (qm,), (wm,) = _souriau(_interp_frame(q0, q1)[None])
     wm_det = np.linalg.det(wm)
-    a, d1 = _phase_step(q0, qm, w0_det, wm_det, depth + 1, max_depth)
-    b, d2 = _phase_step(qm, q1, wm_det, w1_det, depth + 1, max_depth)
+    a, d1 = _phase_step(q0, qm, w0_det, wm_det, depth + 1)
+    b, d2 = _phase_step(qm, q1, wm_det, w1_det, depth + 1)
     return a + b, max(d1, d2)
 
 
-def maslov_index(loop: LagrangianLoop, max_depth: int = 20) -> MaslovResult:
+def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     """Winding number of det w(t) over the loop, snapped to an integer.
 
     Per-step phases use the principal argument of det(w_{k+1}) / det(w_k);
-    steps >= pi/2 are bisected with interpolated frames up to ``max_depth``.
+    steps >= pi/2 are bisected with interpolated frames up to MAX_DEPTH times.
     Refuses (rather than rounds) when the raw winding is farther than 0.1
     from the nearest integer.
 
@@ -204,7 +205,7 @@ def maslov_index(loop: LagrangianLoop, max_depth: int = 20) -> MaslovResult:
     total = 0.0
     depth = 0
     for k in range(len(dets) - 1):
-        step, d = _phase_step(Q[k], Q[k + 1], dets[k], dets[k + 1], 0, max_depth)
+        step, d = _phase_step(Q[k], Q[k + 1], dets[k], dets[k + 1], 0)
         total += step
         depth = max(depth, d)
     raw = total / (2.0 * np.pi)

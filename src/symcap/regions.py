@@ -5,7 +5,9 @@ D^2(R_1) x ... x D^2(R_n), cylinders over a conjugate plane, and affine
 symplectic images of any of these.  A symplectic capacity is monotone, scales
 as lambda^2, is invariant under symplectomorphisms, and equals pi R^2 on balls
 and cylinders; on ellipsoids and solid tori all capacities coincide and equal
-pi * min_j R_j^2.
+pi * min_j R_j^2.  A solid torus is the intersection of the cylinders over its
+planes, so inclusion into either is decided by one rule: the farthest point of
+the inner region's shadow on each constrained plane.
 """
 
 from __future__ import annotations
@@ -233,22 +235,21 @@ class InclusionResult:
         return bool(self.holds)
 
 
-def _require_centered(region: PhaseRegion):
-    center = getattr(region, "center", None)
-    if center is not None and np.any(center != 0.0):
-        raise UnsupportedCombinationError("inclusion_check requires centered regions")
-
-
 def _circle_argmax(h) -> float:
     """Angle maximizing h, for h evaluated elementwise on an array of angles.
 
     Every local maximum of a fixed grid of 720 angles is refined by zooming:
     each round re-samples 17 angles across the bracket and shrinks it 8-fold,
-    so 6 rounds narrow the 2 pi / 720 bracket to below 1e-7 rad.
+    so 6 rounds narrow the 2 pi / 720 bracket to below 1e-7 rad.  A round
+    shadow, level on the whole grid within round-off, is refined at one angle.
     """
     step = 2.0 * math.pi / 720
     vals = h(step * np.arange(720))
-    peaks = step * np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    # the grid values of round shadows (rotated solid tori, n <= 10) spread by <= 3.5 eps |h|
+    if np.ptp(vals) <= 16.0 * np.finfo(float).eps * np.max(np.abs(vals)):
+        peaks = step * np.array([np.argmax(vals)])
+    else:
+        peaks = step * np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
     for _ in range(6):
         cand = peaks[:, None] + step * np.linspace(-1.0, 1.0, 17)
         vals = h(cand)
@@ -261,18 +262,22 @@ def _shadow_extent(region: PhaseRegion, j: int):
     """Largest distance from the origin of the region's shadow on plane j, and
     a point of the region whose shadow lies that far out.
 
-    The region is composed into S(base) + offset with base centered at the
-    origin.  The shadow's support function in the plane direction u is
+    A solid torus casts the round disk of radius R_j.  Any other region is
+    composed into S(base) + offset with base centered at the origin.  The
+    shadow's support function in the plane direction u is
     h(u) = h_base(B^T u) + u . (offset)_j, B the plane rows of S, and the
     farthest shadow point lies at max_u h(u).  Without an offset the shadow of
     a ball or ellipsoid is an ellipse, whose largest semi-axis is closed-form.
     """
     n = region.n
+    idx = plane_indices(n, j)
+    if isinstance(region, SolidTorus):
+        R = region.radii[j - 1]
+        return R, R * np.eye(2 * n)[idx[0]]
     S, offset, base = np.eye(2 * n), np.zeros(2 * n), region
     while isinstance(base, AffineImage):
         S, offset, base = S @ base.map.entries, S @ base.shift + offset, base.inner
     offset = offset + S @ getattr(base, "center", np.zeros(2 * n))
-    idx = plane_indices(n, j)
     B, c = S[idx], offset[idx]
     if isinstance(base, (Ball, Ellipsoid)):  # base = {z : z . M^{-1} z <= 1}
         M = (base.radius**2 * np.eye(2 * n) if isinstance(base, Ball)
@@ -304,44 +309,35 @@ def _shadow_extent(region: PhaseRegion, j: int):
 
 
 def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
-    """Decide whether inner is contained in outer (same n; centered unless an image).
+    """Decide whether inner is contained in outer (same n; outer centered).
 
-    Exact for Ball/Ellipsoid/SolidTorus into Cylinder, Ellipsoid into
-    SolidTorus, and Ball into Ellipsoid.  Affine images of a ball, ellipsoid
-    or solid torus (any shift or center) into a cylinder are decided exactly
-    too, from the largest distance of their shadow on the cylinder's plane.
-    A negative verdict on an ellipsoid or an image into a cylinder carries a
-    witness point of inner outside outer.  Anything else raises
-    UnsupportedCombinationError.
+    A cylinder Z_j(r) contains inner exactly when the shadow of inner on plane
+    j stays within distance r of the origin, and a solid torus is the
+    intersection of the cylinders Z_j(R_j) over its planes.  So a ball,
+    ellipsoid, solid torus or affine image of one (any shift or center) is
+    tested exactly against a cylinder or a solid torus, one plane at a time,
+    and a negative verdict carries a witness point of inner outside outer,
+    from the first plane that fails.  A centered ball into a centered
+    ellipsoid is exact too.  Anything else raises UnsupportedCombinationError.
     """
     if inner.n != outer.n:
         raise DimensionError("regions live in different dimensions")
-    n, slack = inner.n, 1.0 + 1e-12  # relative slack on each radius or level compared
+    if np.any(getattr(outer, "center", 0.0)):
+        raise UnsupportedCombinationError("inclusion_check requires a centered outer region")
+    slack = 1.0 + 1e-12  # relative slack on each radius or level compared
 
-    if isinstance(outer, Cylinder):
-        _require_centered(outer)
-        j, r = outer.pair_index, outer.radius
-        if isinstance(inner, Ball):
-            _require_centered(inner)
-            return InclusionResult(inner.radius <= r * slack, True)
-        if isinstance(inner, SolidTorus):
-            return InclusionResult(inner.radii[j - 1] <= r * slack, True)
-        if isinstance(inner, (Ellipsoid, AffineImage)):
-            _require_centered(inner)
+    if isinstance(outer, (Cylinder, SolidTorus)):
+        planes = ([(outer.pair_index, outer.radius)] if isinstance(outer, Cylinder)
+                  else enumerate(outer.radii, start=1))
+        for j, r in planes:
             extent, point = _shadow_extent(inner, j)
             if extent > r * slack:
                 return InclusionResult(False, True, witness=point)
-            return InclusionResult(True, True)
-
-    if isinstance(outer, SolidTorus) and isinstance(inner, Ellipsoid):
-        _require_centered(inner)
-        ok = all(_shadow_extent(inner, j)[0] <= outer.radii[j - 1] * slack
-                 for j in range(1, n + 1))
-        return InclusionResult(ok, True)
+        return InclusionResult(True, True)
 
     if isinstance(outer, Ellipsoid) and isinstance(inner, Ball):
-        _require_centered(inner)
-        _require_centered(outer)
+        if np.any(inner.center):
+            raise UnsupportedCombinationError("a ball into an ellipsoid must be centered")
         lam_max = np.linalg.eigvalsh(outer.hessian)[-1]
         ok = 0.5 * inner.radius**2 * lam_max <= outer.level * slack
         return InclusionResult(ok, True)

@@ -86,19 +86,13 @@ def validate_posdef(R) -> np.ndarray:
     return (R + R.T) / 2.0
 
 
-def write_csv(header, rows, path_or_file=None) -> str:
-    """CSV text of a header and rows, also written to a path or file object if given."""
+def write_csv(header, rows) -> str:
+    """CSV text of a header and rows."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    text = buf.getvalue()
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    elif path_or_file is not None:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def standard_form_matrix(n: int) -> np.ndarray:

@@ -53,11 +53,11 @@ class SymplecticSpectrum:
     def n(self) -> int:
         return len(self.mu)
 
-    def to_csv(self, path_or_file=None) -> str:
-        """Write columns (j, mu, radius, omega); returns the CSV text."""
+    def to_csv(self) -> str:
+        """CSV text of the columns (j, mu, radius, omega)."""
         rows = ([j + 1, repr(float(self.mu[j])), repr(float(self.radii[j])),
                  repr(float(self.omega[j]))] for j in range(self.n))
-        return write_csv(["j", "mu", "radius", "omega"], rows, path_or_file)
+        return write_csv(["j", "mu", "radius", "omega"], rows)
 
 
 @dataclass(frozen=True)

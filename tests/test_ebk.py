@@ -102,6 +102,14 @@ def test_torus_radii():
         torus_radii_from_actions([0.0])
 
 
+def test_torus_radii_refuse_overflowing_actions():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning either
+        with pytest.raises(ValidationError, match="1e\\+308"):
+            torus_radii_from_actions([1.0, 1e308])
+        assert torus_radii_from_actions([0.5 * np.finfo(float).max])[0] < math.inf
+
+
 def test_capacity_condition_ground():
     spec = energy_levels(oscillator_hamiltonian([1.0, 1.0]), (2, 2), 0)
     check = capacity_condition(spec.entries[0], hbar=1.0)
@@ -126,7 +134,7 @@ def test_capacity_condition_non_quantized_torus():
     assert not check.satisfied
 
 
-@pytest.mark.parametrize("radii", [None, [], [1.0, 0.0], [-1.0]])
+@pytest.mark.parametrize("radii", [None, [], [1.0, 0.0], [-1.0], [1e154], [1e155]])
 @pytest.mark.parametrize("check", [capacity_condition, projection_area_bound])
 def test_radii_checks_need_positive_radii(check, radii):
     from symcap.ebk import EBKLevel

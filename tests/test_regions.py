@@ -11,6 +11,7 @@ from symcap import (
     Cylinder,
     Ellipsoid,
     SolidTorus,
+    SymplecticMatrix,
     ValidationError,
     capacity,
     inclusion_check,
@@ -21,6 +22,7 @@ from symcap import (
     sandwich_capacity,
     scale_region,
 )
+from symcap import regions
 from symcap.regions import (
     CapacityValue,
     InconsistentCertificateError,
@@ -194,11 +196,14 @@ def test_inclusion_ball_in_ellipsoid():
     e = Ellipsoid(np.zeros(4), 0.5 * np.eye(4), 1.0)  # ball of radius 2
     assert inclusion_check(Ball(np.zeros(4), 2.0), e)
     assert not inclusion_check(Ball(np.zeros(4), 2.1), e)
+    with pytest.raises(UnsupportedCombinationError, match="must be centered"):
+        inclusion_check(Ball(np.ones(4), 0.1), e)
 
 
 def test_inclusion_unsupported_pair():
-    with pytest.raises(UnsupportedCombinationError):
-        inclusion_check(Cylinder(1, np.zeros(4), 1.0), Ball(np.zeros(4), 5.0))
+    for outer in (Ball(np.zeros(4), 5.0), Cylinder(2, np.zeros(4), 5.0), SolidTorus((5.0, 5.0))):
+        with pytest.raises(UnsupportedCombinationError):
+            inclusion_check(Cylinder(1, np.zeros(4), 1.0), outer)
 
 
 def _preimage_inside(S, shift, base, z, slack=1e-9):
@@ -227,7 +232,8 @@ def _dense_shadow_max(S, shift, base, j, count=10**6):
         for k, R in enumerate(base.radii):
             Bk = B[:, [k, n + k]]
             v = u @ Bk
-            pts += R * (v / np.linalg.norm(v, axis=1, keepdims=True)) @ Bk.T
+            norm = np.linalg.norm(v, axis=1, keepdims=True)  # zero where B_k = 0
+            pts += R * np.divide(v, norm, out=np.zeros_like(v), where=norm > 0) @ Bk.T
     else:
         # ellipse c + L (cos t, sin t) with L L^T = B M B^T, M^{-1} the base's form
         M = (base.radius**2 * np.eye(2 * n) if isinstance(base, Ball)
@@ -301,6 +307,94 @@ def test_inclusion_affine_image_of_cylinder_unsupported():
     image = map_region(Cylinder(1, np.zeros(4), 1.0), S)
     with pytest.raises(UnsupportedCombinationError):
         inclusion_check(image, Cylinder(2, np.zeros(4), 5.0))
+
+
+def test_off_center_ball_in_cylinder_is_decided():
+    ball = Ball(np.array([3.0, 1.0, 4.0, 2.0]), 1.0)  # plane 1 center (3, 4), |.| = 5
+    assert inclusion_check(ball, Cylinder(1, np.zeros(4), 6.0))
+    res = inclusion_check(ball, Cylinder(1, np.zeros(4), 5.99))
+    assert not res and res.exact
+    assert np.linalg.norm(res.witness - ball.center) <= 1.0 + 1e-12
+    assert np.hypot(res.witness[0], res.witness[2]) > 5.99
+
+
+def test_solid_torus_in_solid_torus():
+    assert inclusion_check(SolidTorus((1.0, 2.0)), SolidTorus((1.0, 2.0)))
+    res = inclusion_check(SolidTorus((1.0, 2.0)), SolidTorus((1.5, 1.9)))
+    assert not res and res.exact
+    assert np.array_equal(res.witness, [0.0, 2.0, 0.0, 0.0])
+
+
+def _composed(region):
+    """(S, shift, base) with region = S(base) + shift and base not an image."""
+    S, shift = np.eye(2 * region.n), np.zeros(2 * region.n)
+    while isinstance(region, AffineImage):
+        S, shift, region = S @ region.map.entries, S @ region.shift + shift, region.inner
+    return S, shift, region
+
+
+def _rule_regions(n, rng):
+    zero = np.zeros(2 * n)
+    for center in (zero, rng.normal(size=2 * n)):
+        A = rng.normal(size=(2 * n, 2 * n))
+        bases = (Ball(center, float(rng.uniform(0.5, 2.0))),
+                 Ellipsoid(center, A @ A.T + 0.3 * np.eye(2 * n), float(rng.uniform(0.5, 2.0))),
+                 SolidTorus(tuple(rng.uniform(0.5, 2.0, n))))
+        for base in bases:
+            S = random_symplectic(n, seed=int(rng.integers(2**31)), spread=0.5)
+            yield base
+            yield map_region(base, S, center)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solid_torus_verdict_is_all_cylinder_verdicts(n):
+    # radii sit 20% inside or 25% outside a dense reference of each shadow
+    rng = np.random.default_rng(53 + n)
+    zero = np.zeros(2 * n)
+    cases = 0
+    for inner in _rule_regions(n, rng):
+        S, shift, base = _composed(inner)
+        extents = np.array([_dense_shadow_max(S, shift, base, j, count=20000)
+                            for j in range(1, n + 1)])
+        for _ in range(9):
+            factors = rng.choice([0.8, 1.25], size=n)
+            radii = tuple(extents * factors)
+            res = inclusion_check(inner, SolidTorus(radii))
+            cylinders = [inclusion_check(inner, Cylinder(j, zero, r))
+                         for j, r in enumerate(radii, start=1)]
+            assert res.exact and res.holds == all(factors > 1.0)
+            assert res.holds == all(cylinders)
+            # a witness lies in inner and outside one of the planes its outer constrains
+            for res_, planes in [(res, range(n))] + [(c, [k]) for k, c in enumerate(cylinders)]:
+                if res_:
+                    assert res_.witness is None
+                    continue
+                w = res_.witness
+                assert _preimage_inside(S, shift, base, w)
+                assert any(np.hypot(w[k], w[n + k]) > radii[k] for k in planes)
+            cases += 1
+    assert cases == 108
+
+
+def test_round_shadow_refines_one_peak(monkeypatch):
+    # a solid torus under the identity or a rotation in plane 1 has a round shadow
+    calls = []
+    real = regions._circle_argmax
+
+    def counting(h):
+        return real(lambda theta: calls.append(np.size(theta)) or h(theta))
+
+    monkeypatch.setattr(regions, "_circle_argmax", counting)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.eye(4)
+    rotation[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
+    for S in (np.eye(4), rotation):
+        region = map_region(SolidTorus((1.0, 2.0)), SymplecticMatrix(S))
+        for j, R in ((1, 1.0), (2, 2.0)):
+            calls.clear()
+            extent, _ = _shadow_extent(region, j)
+            assert abs(extent - R) <= 1e-15 * R
+            assert sum(calls) <= 2000
 
 
 def test_monotonicity_follows_inclusion():
