@@ -24,6 +24,8 @@ from .symcore import DegenerateInputError, ValidationError, positive, write_csv
 # over 150 000 declared gradients g (frequencies 1e-12..1e6, power sums, n <= 4),
 # |g - difference| - 1e-5 |g| stayed below 0.74 eps |K| / h.
 FD_STEP, FD_ROUNDOFF = 1e-6, 4.0
+# check_monotone draws this many actions from this seed, uniformly in this box
+MONOTONE_SAMPLES, MONOTONE_SEED, MONOTONE_BOX = 1000, 0, (1e-3, 10.0)
 
 
 class InvalidMaslovError(ValueError):
@@ -79,23 +81,18 @@ class ActionHamiltonian:
         K = np.array([float(self.K(p)) for p in pts.reshape(-1, n)]).reshape(m, n, 2)
         return (K[..., 0] - K[..., 1]) / (2.0 * h)
 
-    def check_monotone(self, samples: int = 1000, seed: int = 0,
-                       box: tuple = (1e-3, 10.0)) -> bool:
+    def check_monotone(self) -> bool:
         """Spot-check dK/dI > 0 (and gradient vs finite differences) on the orthant.
 
-        The actions are drawn uniformly in box = (lo, hi), 0 < lo < hi, and a
+        MONOTONE_SAMPLES actions are drawn uniformly in MONOTONE_BOX, and a
         sample fails if any component of its gradient is not both > 0 and
         finite.  A declared gradient that disagrees with the central differences
         beyond their round-off raises ValidationError if that happens at a sample
         before the first failing one.  K is evaluated at the 2n difference points
         of every sample before the verdict, also when an earlier sample fails.
         """
-        if samples < 1:
-            raise ValidationError(f"need samples >= 1, got {samples}")
-        lo, hi = positive("box", box)
-        if not lo < hi:
-            raise ValidationError(f"box needs lo < hi, got {box}")
-        I = np.random.default_rng(seed).uniform(lo, hi, size=(samples, self.n))
+        I = np.random.default_rng(MONOTONE_SEED).uniform(*MONOTONE_BOX,
+                                                         size=(MONOTONE_SAMPLES, self.n))
         fd = self._differences(I)
         if self.gradient is None:
             g = fd
@@ -104,7 +101,7 @@ class ActionHamiltonian:
             for k, row in enumerate(I):
                 g[k] = self.grad(row)
         failed = np.flatnonzero(~np.all(np.isfinite(g) & (g > 0), axis=1))
-        first = failed[0] if failed.size else samples
+        first = failed[0] if failed.size else MONOTONE_SAMPLES
         if self.gradient is not None:
             excess = np.abs(g[:first] - fd[:first]) - 1e-5 * np.abs(g[:first])
             for k in np.flatnonzero(np.any(excess > 0, axis=1)):
@@ -269,8 +266,9 @@ def projection_area_bound(entry: EBKLevel, hbar: float = 1.0):
 
 # --- 1D action quadrature ----------------------------------------------------
 
-# Gauss-Legendre orders: the first rule, doubled until two agree, and the last allowed
-GL_FIRST, GL_LAST = 16, 1024
+# Gauss-Legendre orders: the first rule, doubled until two rules agree to GL_RTOL
+# (relative), and the last allowed
+GL_FIRST, GL_LAST, GL_RTOL = 16, 1024, 1e-10
 MOMENTUM_CAP = 1e12  # a momentum bracket that passes it means an unbounded level set
 ILLINOIS_STEPS = 100
 ROOT_RTOL = 4 * np.finfo(float).eps  # a momentum bracket this narrow relative to p has converged
@@ -359,8 +357,7 @@ def _widths(hamiltonian, x, energy):
     raise DegenerateInputError("momentum root finder did not converge")
 
 
-def action_quadrature_1d(hamiltonian: Callable, energy: float,
-                         rel_tol: float = 1e-10) -> float:
+def action_quadrature_1d(hamiltonian: Callable, energy: float) -> float:
     """Action I = (1/2 pi) * (area enclosed by the level curve H(x, p) = E).
 
     Assumes a kinetic-plus-potential profile: H is even-increasing in |p| at
@@ -369,7 +366,7 @@ def action_quadrature_1d(hamiltonian: Callable, energy: float,
     bisection and the momentum branches p+(x) >= 0 >= p-(x) by false position;
     their width is integrated by Gauss-Legendre rules after a sine substitution
     that absorbs the square-root endpoints.  The order doubles from 16 until
-    two successive rules agree to rel_tol, their difference standing in for
+    two successive rules agree to GL_RTOL, their difference standing in for
     the error of the finer one, which is returned; a potential that is not
     smooth inside the well may not get there by order 1024 and raises
     DegenerateInputError.
@@ -390,7 +387,7 @@ def action_quadrature_1d(hamiltonian: Callable, energy: float,
         order *= 2
         fine = area(order)
         gap = abs(fine - coarse)
-        if gap <= rel_tol * abs(fine):
+        if gap <= GL_RTOL * abs(fine):
             return fine / (2.0 * math.pi)
         coarse = fine
     raise DegenerateInputError(f"Gauss-Legendre areas at orders {order // 2} and {order} "

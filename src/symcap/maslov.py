@@ -4,8 +4,9 @@ A Lagrangian plane is spanned by the columns of a stacked frame [X; P] with
 X^T P symmetric and full rank.  Orthonormalizing the frame makes U = X + iP
 unitary, and the plane is identified with the symmetric unitary matrix
 w = (X + iP)(X - iP)^{-1} = U U^T, which depends on the plane only.  The
-Maslov index of a closed loop of planes is the winding number of det w(t).
-A loop stores its K frames as one array of shape (K, 2n, n).
+Maslov index of a closed loop of planes is the winding number of det w(t),
+read step by step from the eigenphases of w_k^H w_{k+1}, one per principal
+direction.  A loop stores its K frames as one array of shape (K, 2n, n).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_in
 
 CLOSURE_TOL = 1e-8  # max principal angle between endpoint planes
 SNAP_TOL = 0.1      # max |raw winding - integer| accepted
-MAX_DEPTH = 20      # max bisections of one det-phase step
 
 
 class ClosureError(ValueError):
@@ -27,7 +27,7 @@ class ClosureError(ValueError):
 
 
 class SamplingTooCoarseError(RuntimeError):
-    """Phase steps stayed >= pi/2 after exhausting refinement depth."""
+    """The raw winding of a loop is not within SNAP_TOL of an integer."""
 
 
 def validate_frames(frames: np.ndarray) -> None:
@@ -85,12 +85,12 @@ class LagrangianFrame:
         return np.vstack([self.X, self.P])
 
 
-def _souriau(frames: np.ndarray):
-    """Orthonormal frames Q and w = U U^T, U = Q[:n] + iQ[n:], of a stack (K, 2n, n)."""
+def _souriau(frames: np.ndarray) -> np.ndarray:
+    """w = U U^T, U = Q[:n] + iQ[n:] for orthonormal frames Q, of a stack (K, 2n, n)."""
     Q, _ = np.linalg.qr(frames)
     n = frames.shape[2]
     U = Q[:, :n] + 1j * Q[:, n:]
-    return Q, U @ np.swapaxes(U, 1, 2)
+    return U @ np.swapaxes(U, 1, 2)
 
 
 def souriau_map(frame: LagrangianFrame) -> np.ndarray:
@@ -99,7 +99,7 @@ def souriau_map(frame: LagrangianFrame) -> np.ndarray:
     Computed from an orthonormal representative as U U^T with U = X + iP,
     which is manifestly symmetric and unitary and frame-independent.
     """
-    return _souriau(frame.stacked()[None])[1][0]
+    return _souriau(frame.stacked()[None])[0]
 
 
 @dataclass(frozen=True)
@@ -147,74 +147,44 @@ class LagrangianLoop:
 
 @dataclass(frozen=True)
 class MaslovResult:
+    """Index and raw winding of a loop.
+
+    refinement_depth is always 0: every step is read from the samples alone.
+    It stays in the result and in the `symcap maslov` JSON schema.
+    """
+
     index: int
     raw_winding: float
     refinement_depth: int
 
 
-def _interp_frame(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Lagrangian frame midway between the planes of orthonormal frames q0, q1.
-
-    Linear interpolation of U = X + iP followed by polar projection back to
-    the unitary group, which is exactly a Lagrangian frame.
-    """
-    n = q0.shape[1]
-    U0 = q0[:n] + 1j * q0[n:]
-    U1 = q1[:n] + 1j * q1[n:]
-    # align the (real orthogonal) frame gauge so the chord stays short
-    u, _, vh = np.linalg.svd((U1.conj().T @ U0).real)
-    U1 = U1 @ (u @ vh)
-    u, _, vh = np.linalg.svd(0.5 * U0 + 0.5 * U1)
-    U = u @ vh
-    return np.vstack([U.real, U.imag])
-
-
-def _phase_step(q0, q1, w0_det, w1_det, depth):
-    """Phase of det w from orthonormal frame q0 to q1, bisecting steps >= pi/2."""
-    step = np.angle(w1_det * np.conj(w0_det))
-    if abs(step) < np.pi / 2:
-        return step, depth
-    if depth >= MAX_DEPTH:
-        raise SamplingTooCoarseError(
-            "det-phase step stayed >= pi/2 after refinement; sample the loop more densely"
-        )
-    (qm,), (wm,) = _souriau(_interp_frame(q0, q1)[None])
-    wm_det = np.linalg.det(wm)
-    a, d1 = _phase_step(q0, qm, w0_det, wm_det, depth + 1)
-    b, d2 = _phase_step(qm, q1, wm_det, w1_det, depth + 1)
-    return a + b, max(d1, d2)
-
-
 def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     """Winding number of det w(t) over the loop, snapped to an integer.
 
-    Per-step phases use the principal argument of det(w_{k+1}) / det(w_k);
-    steps >= pi/2 are bisected with interpolated frames up to MAX_DEPTH times.
-    Refuses (rather than rounds) when the raw winding is farther than 0.1
-    from the nearest integer.
+    Within step k the principal directions of the plane turn by angles
+    theta_j, and the unitary w_k^H w_{k+1} has eigenvalues exp(2i theta_j).
+    The raw winding is (1/2 pi) times the sum, over all steps, of the
+    principal phases of those eigenvalues, from one batched eigvals call.
+    Refuses (rather than rounds) when the raw winding is farther than
+    SNAP_TOL from the nearest integer.
 
     The loop is known only at its samples, and a plane is only determined by
-    its principal angles modulo pi.  A step that turns the plane by nearly pi
-    changes det w by a phase of nearly 2 pi and so looks like a small step:
-    it is neither bisected nor refused, and the index comes out wrong with
-    no error.  Sample fast-turning loops (for example a torus cycle moved by
-    an ill-conditioned map) densely enough that no step turns by pi/2.
+    its principal angles modulo pi.  A direction that turns by pi/2 or more
+    within one step is read as the shorter turn the other way, and the index
+    may come out wrong with no error; a turn of exactly pi/2 is undetermined.
+    Sample fast-turning loops (for example a torus cycle moved by an
+    ill-conditioned map) densely enough that no direction turns by pi/2
+    within a step.
     """
-    Q, w = _souriau(loop.frames)
-    dets = np.linalg.det(w)
-    total = 0.0
-    depth = 0
-    for k in range(len(dets) - 1):
-        step, d = _phase_step(Q[k], Q[k + 1], dets[k], dets[k + 1], 0)
-        total += step
-        depth = max(depth, d)
-    raw = total / (2.0 * np.pi)
+    w = _souriau(loop.frames)
+    steps = np.angle(np.linalg.eigvals(np.swapaxes(w[:-1], 1, 2).conj() @ w[1:]))
+    raw = float(np.cumsum(steps.sum(axis=1))[-1]) / (2.0 * np.pi)  # step sums added in order
     index = int(round(raw))
     if abs(raw - index) >= SNAP_TOL:
         raise SamplingTooCoarseError(
             f"raw winding {raw} is not within {SNAP_TOL} of an integer"
         )
-    return MaslovResult(index=index, raw_winding=raw, refinement_depth=depth)
+    return MaslovResult(index=index, raw_winding=raw, refinement_depth=0)
 
 
 def torus_cycle_loop(radii, j: int, samples: int = 64) -> LagrangianLoop:

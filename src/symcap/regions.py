@@ -318,7 +318,9 @@ def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
     tested exactly against a cylinder or a solid torus, one plane at a time,
     and a negative verdict carries a witness point of inner outside outer,
     from the first plane that fails.  A centered ball into a centered
-    ellipsoid is exact too.  Anything else raises UnsupportedCombinationError.
+    ellipsoid is exact too, and its witness is the ball's point along the
+    top eigenvector of the ellipsoid's Hessian.  Anything else raises
+    UnsupportedCombinationError.
     """
     if inner.n != outer.n:
         raise DimensionError("regions live in different dimensions")
@@ -338,9 +340,10 @@ def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
     if isinstance(outer, Ellipsoid) and isinstance(inner, Ball):
         if np.any(inner.center):
             raise UnsupportedCombinationError("a ball into an ellipsoid must be centered")
-        lam_max = np.linalg.eigvalsh(outer.hessian)[-1]
-        ok = 0.5 * inner.radius**2 * lam_max <= outer.level * slack
-        return InclusionResult(ok, True)
+        lam, U = np.linalg.eigh(outer.hessian)
+        if 0.5 * inner.radius**2 * lam[-1] <= outer.level * slack:
+            return InclusionResult(True, True)
+        return InclusionResult(False, True, witness=inner.radius * U[:, -1])
 
     raise UnsupportedCombinationError(
         f"no inclusion test for {type(inner).__name__} into {type(outer).__name__}"

@@ -288,17 +288,6 @@ def test_non_finite_gradient_fails_the_spot_check(gradient):
         verify_energy_bound(K, spec)
 
 
-@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}, {"box": (-5.0, -1.0)},
-                                    {"box": (0.0, 1.0)}, {"box": (2.0, 1.0)}, {"box": (1.0, 1.0)},
-                                    {"box": (1.0, math.inf)}, {"box": (math.nan, 1.0)}],
-                         ids=["samples-0", "samples-negative", "box-negative", "box-zero",
-                              "box-reversed", "box-empty", "box-infinite", "box-nan"])
-def test_check_monotone_validates_its_inputs(kwargs):
-    decreasing = ActionHamiltonian(K=lambda I: float(-I[0]), n=1, monotone=True)
-    with pytest.raises(ValidationError):
-        decreasing.check_monotone(**kwargs)
-
-
 @pytest.mark.parametrize("K, hbar, n_max", [
     (oscillator_hamiltonian([10.0]), 1e308, 1),                       # K overflows
     (ActionHamiltonian(K=lambda I: float(np.sum(I**1e308)), n=1), 1.0, 1),  # K overflows
@@ -437,13 +426,12 @@ def test_action_quadrature_morse_exact(E):
     assert action_quadrature_1d(H, E) == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("H, rel_tol", [
-    (lambda x, p: 0.5 * p**2 + 0.5 * x**2, 1e-20),  # below round-off
-    (lambda x, p: 0.5 * p**2 + np.abs(x), 1e-10),   # a kink: Gauss-Legendre converges slowly
-], ids=["round-off", "kink"])
-def test_action_quadrature_non_convergence_raises(H, rel_tol):
+@pytest.mark.parametrize("H", [
+    lambda x, p: 0.5 * p**2 + np.abs(x),  # a kink: Gauss-Legendre converges slowly
+], ids=["kink"])
+def test_action_quadrature_non_convergence_raises(H):
     with pytest.raises(DegenerateInputError, match="orders 512 and 1024"):
-        action_quadrature_1d(H, 1.0, rel_tol=rel_tol)
+        action_quadrature_1d(H, 1.0)
 
 
 def test_action_quadrature_nan_momentum_raises():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
@@ -12,7 +12,6 @@ from symcap import (
     DimensionError,
     LagrangianFrame,
     LagrangianLoop,
-    MaslovResult,
     ValidationError,
     maslov_index,
     random_symplectic,
@@ -151,11 +150,26 @@ def test_k_fold_traversal():
     assert maslov_index(LagrangianLoop(frames, ts)).index == 6
 
 
-def test_coarse_loop_refines():
-    # 16 samples on a double winding: raw steps approach pi/2, forcing the
-    # bisection refinement path
+def test_sixteen_sample_circle_loop_index_two():
+    # 16 samples on a double winding: the plane turns by pi/8 per step and
+    # det w by pi/4, both well below pi/2
     res = maslov_index(torus_cycle_loop([1.0], 1, samples=16))
     assert res.index == 2
+
+
+@pytest.mark.parametrize("samples", [5, 6, 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_diagonal_cycle_index_is_additive(n, samples):
+    # theta_1 = ... = theta_n = t: every direction turns by 2 pi / samples per
+    # step, but det w by 2n times that, which folds past pi; the Maslov class
+    # is additive, so the index is n times that of a basic cycle
+    t = 2.0 * np.pi * np.arange(samples + 1) / samples
+    radii = 1.0 + 0.5 * np.arange(n)
+    i = np.arange(n)
+    frames = np.zeros((samples + 1, 2 * n, n))
+    frames[:, i, i] = -radii * np.sin(t)[:, None]
+    frames[:, n + i, i] = radii * np.cos(t)[:, None]
+    assert maslov_index(LagrangianLoop(frames, t)).index == 2 * n
 
 
 def test_open_path_rejected():
@@ -272,56 +286,33 @@ def test_loop_rejects_one_bad_frame_mid_loop(X, P):
     assert str(looped.value) == str(lone.value)
 
 
-def reference_maslov_index(frames, max_depth=20):
-    """maslov_index one frame at a time: a QR, U U^T and det per frame and per
-    bisection midpoint, and the phase steps summed left to right."""
+def reference_maslov_index(frames):
+    """maslov_index one step at a time: a QR and U U^T per frame, and per step
+    the eigenphases of w_k^H w_{k+1} from their own eigvals call, summed left
+    to right."""
     n = frames.shape[2]
 
-    def orthonormal(F):
-        return np.linalg.qr(F)[0]
-
-    def det_w(F):
-        Q = orthonormal(F)
+    def souriau(F):
+        Q = np.linalg.qr(F)[0]
         U = Q[:n] + 1j * Q[n:]
-        return np.linalg.det(U @ U.T)
+        return U @ U.T
 
-    def midpoint(F0, F1):
-        q0, q1 = orthonormal(F0), orthonormal(F1)
-        U0 = q0[:n] + 1j * q0[n:]
-        U1 = q1[:n] + 1j * q1[n:]
-        u, _, vh = np.linalg.svd((U1.conj().T @ U0).real)
-        U1 = U1 @ (u @ vh)
-        u, _, vh = np.linalg.svd((1.0 - 0.5) * U0 + 0.5 * U1)
-        U = u @ vh
-        return np.vstack([U.real, U.imag])
-
-    def phase_step(F0, F1, d0, d1, depth):
-        step = np.angle(d1 * np.conj(d0))
-        if abs(step) < np.pi / 2:
-            return step, depth
-        if depth >= max_depth:
-            raise SamplingTooCoarseError("too coarse")
-        Fm = midpoint(F0, F1)
-        dm = det_w(Fm)
-        a, da = phase_step(F0, Fm, d0, dm, depth + 1)
-        b, db = phase_step(Fm, F1, dm, d1, depth + 1)
-        return a + b, max(da, db)
-
-    dets = [det_w(F) for F in frames]
-    total, depth = 0.0, 0
-    for k in range(len(frames) - 1):
-        step, d = phase_step(frames[k], frames[k + 1], dets[k], dets[k + 1], 0)
-        total += step
-        depth = max(depth, d)
+    ws = [souriau(F) for F in frames]
+    total = 0.0
+    for w0, w1 in zip(ws, ws[1:]):
+        total += np.angle(np.linalg.eigvals(w0.conj().T @ w1)).sum()
     raw = total / (2.0 * np.pi)
     index = int(round(raw))
     if abs(raw - index) >= 0.1:
         raise SamplingTooCoarseError("not near an integer")
-    return MaslovResult(index=index, raw_winding=raw, refinement_depth=depth)
+    return index, raw
 
 
 @given(st.integers(1, 6), st.integers(16, 96), st.integers(0, 2**32 - 1),
        st.one_of(st.none(), st.floats(0.3, 0.7)), st.booleans(), st.sampled_from([1, 3]))
+@example(2, 16, 0, 0.7, False, 1)   # a step turns det w by pi/2 or more
+@example(2, 16, 20, 0.7, False, 1)  # a direction turns by more than pi/2: index 0
+@example(2, 16, 3, 0.7, True, 3)    # the same fold, reversed and traversed three times
 @settings(max_examples=40, deadline=None)
 def test_maslov_index_matches_per_frame_reference(n, samples, seed, spread, reverse, folds):
     rng = np.random.default_rng(seed)
@@ -332,9 +323,12 @@ def test_maslov_index_matches_per_frame_reference(n, samples, seed, spread, reve
     frames = np.concatenate([frames] + [frames[1:]] * (folds - 1))
     loop = LagrangianLoop(frames, range(len(frames)))
     try:
-        expected = reference_maslov_index(frames)
+        index, raw = reference_maslov_index(frames)
     except SamplingTooCoarseError:
         with pytest.raises(SamplingTooCoarseError):
             maslov_index(loop)
         return
-    assert maslov_index(loop) == expected
+    res = maslov_index(loop)
+    assert res.index == index
+    assert abs(res.raw_winding - raw) <= 1e-13
+    assert res.refinement_depth == 0

@@ -195,7 +195,11 @@ def test_inclusion_solid_torus_in_cylinder():
 def test_inclusion_ball_in_ellipsoid():
     e = Ellipsoid(np.zeros(4), 0.5 * np.eye(4), 1.0)  # ball of radius 2
     assert inclusion_check(Ball(np.zeros(4), 2.0), e)
-    assert not inclusion_check(Ball(np.zeros(4), 2.1), e)
+    ball = Ball(np.zeros(4), 2.1)
+    res = inclusion_check(ball, e)
+    assert not res
+    assert np.linalg.norm(res.witness) == pytest.approx(ball.radius, rel=1e-14)  # on the ball
+    assert 0.5 * res.witness @ e.hessian @ res.witness > e.level  # outside the ellipsoid
     with pytest.raises(UnsupportedCombinationError, match="must be centered"):
         inclusion_check(Ball(np.ones(4), 0.1), e)
 
