@@ -18,7 +18,10 @@ here, and the verification report tracks both ratios.
 Two Monte Carlo oracles check these closed forms independently, with numpy
 alone: the convex hull of projected sphere samples, whose candidates a
 certified radial prefilter picks and an angular scan reduces to the
-vertices, and rejection sampling of the slice through |S^{-1} z| <= R.
+vertices, and rejection sampling of the slice through |S^{-1} z| <= R.  Both
+draw their samples MC_BLOCK rows at a time, and nonsqueeze_verify draws its
+maps NONSQUEEZE_ENTRIES matrix entries at a time, so no kernel's memory grows
+with its sample count, trial count or n, and no output depends on the blocks.
 """
 
 from __future__ import annotations
@@ -43,12 +46,14 @@ from .symcore import (
 # dominates it for n <= 10 only while cond(S) stays below about 1e7.  Past that
 # (n = 1 maps at spread 3) round-off is reported as a violation; see CHANGES.md.
 NONSQUEEZE_TOL = 1e-9
-NONSQUEEZE_BLOCK = 512  # maps drawn and checked at once; bounds the memory of a run
-# Directions of the extreme points that span the hull prefilter's polygon, and
-# the number of points of largest whitened radius it searches for them first.
+# Matrix entries drawn and checked at once by nonsqueeze_verify, and sample rows
+# drawn at once by the Monte Carlo oracles: the memory of a run stays fixed
+# whatever its n, trial count or sample count.
+NONSQUEEZE_ENTRIES = 2**15
+MC_BLOCK = 2**14
+# Directions of the extreme points that span the hull prefilter's polygon.
 HULL_FAN = np.array([[math.cos(k * math.pi / 32), math.sin(k * math.pi / 32)]
                      for k in range(64)])
-HULL_TOP = 4096
 
 
 def _area_in_range(area, R: float):
@@ -108,47 +113,68 @@ def shadow_report(S: SymplecticMatrix, R: float, j: int) -> ShadowReport:
                         intersection_ratio=float(inter / bound))
 
 
-def _hull_candidates(pts: np.ndarray, B: np.ndarray):
-    """(keep, w, flip) for the points pts (2, m) of the shadow B(|u| = 1): the
-    indices keep of the points that may be hull vertices, their whitened
-    coordinates w (2, len(keep)), and flip = sign(det r) of the whitening.
+def _hull_stream(B: np.ndarray, samples: int, seed: int):
+    """(pts, w, flip) for the shadow B(|u| = 1) of `samples` sphere samples drawn
+    from default_rng(seed): the points pts (2, m) that may be hull vertices,
+    their whitened coordinates w (2, m), and flip = sign(det r) of the whitening.
 
-    With B^T = Q r, the factor r^T of B B^T = r^T r whitens the shadow into the
-    unit disk, which reverses orientation when det r < 0.  The K points of
-    largest whitened radius (K = HULL_TOP at first) that are extreme in the
-    HULL_FAN directions span a polygon, in whitened coordinates, with
-    inradius r_in about the origin (0 when the origin is not inside it).  A
-    point whose whitened radius is below cut = (1 - 1e-9) r_in, less the
-    whitening round-off 8 eps cond(r), lies strictly inside that polygon, so
-    strictly inside the hull of the points kept: it is not a vertex, and
-    dropping it leaves the hull unchanged.  The points outside the K are
-    dropped only when all of them lie below cut; otherwise K grows fourfold,
-    up to every point (Akl and Toussaint, Inf. Proc. Lett. 7 (1978) 219).
+    The samples are drawn, normalised and projected MC_BLOCK rows at a time, and
+    each block is folded into the running candidates.  With B^T = Q r, the
+    factor r^T of B B^T = r^T r whitens the shadow into the unit disk, which
+    reverses orientation when det r < 0.  After each block, the points of
+    largest whitened radius so far (16 per HULL_FAN direction) that are extreme
+    in the HULL_FAN directions span a polygon with inradius r_in about the
+    origin (0 when the origin is not inside it).  A point whose whitened radius
+    is below cut = (1 - 1e-9) r_in, less the whitening round-off 8 eps cond(r),
+    lies strictly inside the hull of the samples, so it is not a vertex (Akl
+    and Toussaint, Inf. Proc. Lett. 7 (1978) 219).  The cut only grows; each
+    block drops the points below it, and the candidates are cut again whenever
+    the newer ones outnumber the older, so each point is copied O(1) times.
     """
+    def outside(a):  # the columns of a (points over their whitened ones) that pass the cut
+        return a[:, a[2] ** 2 + a[3] ** 2 >= cut2]
+
     r = np.linalg.qr(B.T, mode="r")
-    w = np.empty_like(pts)
-    w[0] = pts[0] / r[0, 0]
-    w[1] = (pts[1] - r[0, 1] * w[0]) / r[1, 1]
-    r2 = w[0] * w[0] + w[1] * w[1]
     slack = 8 * np.finfo(float).eps * np.linalg.cond(r)
-    m, k = r2.size, min(HULL_TOP, r2.size)
-    while True:
-        top = np.argpartition(r2, m - k)[m - k:].copy()  # frees the (m,) index array
-        ext = w[:, top[np.argmax(HULL_FAN @ w[:, top], axis=1)]]  # counterclockwise
+    rng = np.random.default_rng(seed)
+    block = np.empty((min(MC_BLOCK, samples), B.shape[1]))
+    cand = top = np.empty((4, 0))
+    fresh, cut2 = [], 0.0
+    for start in range(0, samples, MC_BLOCK):
+        g = block[:samples - start]
+        rng.standard_normal(out=g)
+        # |g| summed column by column: the bits of np.linalg.norm(g, axis=1) while
+        # 2n < 8 (numpy sums wider rows pairwise), without its (rows, 2n) temporary
+        norm = np.square(g[:, 0])
+        for k in range(1, g.shape[1]):
+            norm += np.square(g[:, k])
+        g *= np.divide(1.0, np.sqrt(norm, out=norm), out=norm)[:, None]
+        pw = np.empty((4, len(g)))
+        np.matmul(B, g.T, out=pw[:2])
+        pw[2] = pw[0] / r[0, 0]
+        pw[3] = (pw[1] - r[0, 1] * pw[2]) / r[1, 1]
+        fresh.append(outside(pw))
+        top = np.concatenate([top, fresh[-1]], axis=1)
+        r2 = top[2] ** 2 + top[3] ** 2
+        k = min(r2.size, 16 * len(HULL_FAN))
+        top = top[:, np.argpartition(r2, r2.size - k)[r2.size - k:]]
+        ext = top[2:, np.argmax(HULL_FAN @ top[2:], axis=1)]  # counterclockwise
         nxt = np.roll(ext, -1, axis=1)
         length = np.hypot(*(nxt - ext))
         dist = (ext[0] * nxt[1] - ext[1] * nxt[0])[length > 0] / length[length > 0]
         r_in = max(float(dist.min()), 0.0) if dist.size else 0.0
-        cut2 = max(r_in * (1.0 - 1e-9) - slack, 0.0) ** 2
-        if k == m or r2[top].min() < cut2:  # the points outside top lie below cut
-            keep = top[r2[top] >= cut2]
-            return keep, w[:, keep], math.copysign(1.0, r[0, 0] * r[1, 1])
-        k = min(4 * k, m)
+        cut2 = max(cut2, max(r_in * (1.0 - 1e-9) - slack, 0.0) ** 2)
+        if sum(f.shape[1] for f in fresh) > cand.shape[1]:
+            cand, fresh = outside(np.concatenate([cand, *fresh], axis=1)), []
+    cand = outside(np.concatenate([cand, *fresh], axis=1))
+    return cand[:2], cand[2:], math.copysign(1.0, r[0, 0] * r[1, 1])
 
 
-def _hull_vertices(pts: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Vertices (2, h) of the convex hull of the points pts (2, m) of the shadow
-    B(|u| = 1), counterclockwise in whitened coordinates.
+def _hull_vertices(pts: np.ndarray, w: np.ndarray, flip: float) -> np.ndarray:
+    """Vertices (2, h) of the convex hull of the candidates pts (2, m), with whitened
+    coordinates w and whitening orientation flip, counterclockwise in whitened
+    coordinates from the vertex of least whitened angle, so that the cycle (and
+    the rounding of an area summed over it) depends on the vertex set alone.
 
     A Graham-style scan (Graham, Inf. Proc. Lett. 1 (1972) 132) in whole-array
     passes: the candidates, sorted by angle about their whitened centroid,
@@ -158,15 +184,15 @@ def _hull_vertices(pts: np.ndarray, B: np.ndarray) -> np.ndarray:
     dropped at once, pass after pass, until none is left.  The turns are
     taken in the original coordinates, with the whitening's orientation.
     """
-    keep, w, flip = _hull_candidates(pts, B)
-    p = pts[:, keep[np.argsort(np.arctan2(w[1] - w[1].mean(), w[0] - w[0].mean()))]]
-    while p.shape[1] >= 3:
+    order = np.argsort(np.arctan2(w[1] - w[1].mean(), w[0] - w[0].mean()))
+    while order.size >= 3:
+        p = pts[:, order]
         a, c = np.roll(p, 1, axis=1), np.roll(p, -1, axis=1)
         left = flip * ((p[0] - a[0]) * (c[1] - a[1]) - (p[1] - a[1]) * (c[0] - a[0])) > 0
         if left.all():
             break
-        p = p[:, left]
-    return p
+        order = order[left]
+    return pts[:, np.roll(order, -np.argmin(np.arctan2(w[1, order], w[0, order])))]
 
 
 def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
@@ -179,9 +205,10 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     n >= 3 the projected density still vanishes at the shadow boundary, so the
     hull falls short: up to 0.95% at 10^6 samples on n = 3 maps drawn at spread 0.6.
 
-    The hull is numpy only: _hull_candidates keeps the points of largest
-    whitened radius that may be vertices (about 4000 of 10^6 on n = 2 maps),
-    and _hull_vertices scans them in angular order.  The area is
+    The hull is numpy only, in memory that does not grow with the samples:
+    _hull_stream draws them in blocks and keeps the points of largest whitened
+    radius that may be vertices (about 4000 of 10^6 on n = 2 maps), and
+    _hull_vertices scans them in angular order.  The area is
     1/2 |sum p_i x (p_{i+1} - p_i)| over the vertices: the short edges
     p_{i+1} - p_i cancel less than the terms p_i x p_{i+1} of the plain
     shoelace sum, which strays far more from the exact area on ill-conditioned B.
@@ -189,19 +216,7 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     if samples < 3:
         raise ValidationError(f"need samples >= 3, got {samples}")
     R = positive("ball radius", R)
-    B = S.entries[plane_indices(S.n, j)]
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(samples, 2 * S.n))
-    # |g| summed column by column: the bits of np.linalg.norm(g, axis=1) while 2n < 8
-    # (numpy sums wider rows pairwise), without its (samples, 2n) temporary
-    norm = np.square(g[:, 0])
-    for k in range(1, 2 * S.n):
-        norm += np.square(g[:, k])
-    g *= np.divide(1.0, np.sqrt(norm, out=norm), out=norm)[:, None]
-    del norm  # free each array once used: the hull then needs no more than the draw
-    pts = B @ g.T  # (2, samples)
-    del g
-    p = _hull_vertices(pts, B)
+    p = _hull_vertices(*_hull_stream(S.entries[plane_indices(S.n, j)], samples, seed))
     d = np.roll(p, -1, axis=1) - p
     area = 0.5 * abs(float(np.sum(p[0] * d[1] - p[1] * d[0])))
     return _area_in_range(area * (R * R), R)
@@ -224,8 +239,10 @@ def mc_intersection_area(S: SymplecticMatrix, R: float, j: int,
     cols = Sinv[:, idx]  # preimage of a plane point (w1, w2) is cols @ w
 
     half = np.sqrt(np.diag(np.linalg.inv(cols.T @ cols)))
-    pre = rng.uniform(-half, half, size=(samples, 2)) @ cols.T
-    hits = np.count_nonzero(np.einsum("ij,ij->i", pre, pre) <= 1.0)
+    hits = 0
+    for start in range(0, samples, MC_BLOCK):  # the bits of one rng.uniform(-half, half) draw
+        pre = (rng.random((min(MC_BLOCK, samples - start), 2)) * (2 * half) - half) @ cols.T
+        hits += np.count_nonzero(np.einsum("ij,ij->i", pre, pre) <= 1.0)
     if hits == 0:
         raise DegenerateInputError(f"no sample hit the slice at samples = {samples}")
     return _area_in_range(4.0 * float(np.prod(half)) * (hits / samples) * (R * R), R)
@@ -271,9 +288,9 @@ def nonsqueeze_verify(n: int, trials: int, seed: int, R: float = 1.0,
     R = positive("ball radius", R)
     bound = math.pi * (R * R)
     report = NonsqueezeReport(n=n, trials=trials, seed=seed)
-    for start in range(0, trials, NONSQUEEZE_BLOCK):
-        seeds = [(seed * 1_000_003 + t) % 2**63
-                 for t in range(start, min(start + NONSQUEEZE_BLOCK, trials))]
+    block = max(1, NONSQUEEZE_ENTRIES // max(1, 4 * n * n))
+    for start in range(0, trials, block):
+        seeds = [(seed * 1_000_003 + t) % 2**63 for t in range(start, min(start + block, trials))]
         S = random_symplectic_stack(n, seeds, spread)
         proj, inter = _shadow_areas(S, R, range(1, n + 1))  # (T, n) each
         ratio = proj / bound

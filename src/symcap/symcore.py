@@ -131,22 +131,23 @@ class SymplecticCheck(NamedTuple):
 
 
 def _symplectic_verdicts(S: np.ndarray, tol: float):
-    """Residual max|S^T J S - J| of each matrix of a stack S of shape (T, 2n, 2n),
-    whether it is <= tol * max|S|^2, det S, and whether |det S - 1| is within
-    max(10 tol max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A scale or a limit
-    that overflows fails."""
+    """For each matrix of a stack S (T, 2n, 2n): max|S^T J S - J|, its largest entry
+    |(S^T J S - J)_ik| / (|s_i| |s_k|) against the round-off scale of the columns s_i,
+    whether that is <= tol, det S, and whether |det S - 1| is within max(10 tol
+    max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A norm or a limit that overflows fails."""
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise DimensionError(f"expected square matrices, got shape {S.shape[1:]}")
     if S.shape[-1] % 2:
         raise DimensionError(f"symplectic matrices have even order, got {S.shape[-1]}")
     J = standard_form_matrix(S.shape[-1] // 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test
-        residual = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J).max(axis=(1, 2))
-        scale = np.maximum(np.abs(S).max(axis=(1, 2)) ** 2, np.finfo(float).tiny)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow fails
+        diff = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J)
+        col = np.sqrt((S**2).sum(axis=1))
+        reading = (diff / (col[:, :, None] * col[:, None, :])).max(axis=(1, 2))
         det = np.linalg.det(S)
         limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
                            DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
-    return (residual, (residual <= tol * scale) & np.isfinite(scale),
+    return (diff.max(axis=(1, 2)), reading, (reading <= tol) & np.isfinite(col).all(axis=1),
             det, (np.abs(det - 1.0) <= limit) & np.isfinite(limit))
 
 
@@ -160,25 +161,25 @@ def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    (residual,), (ok,), _, (det_ok,) = _symplectic_verdicts(M[None], tol)
+    (residual,), _, (ok,), _, (det_ok,) = _symplectic_verdicts(M[None], tol)
     return SymplecticCheck(bool(ok and det_ok), float(residual))
 
 
 def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Raise ValidationError unless every matrix of the stack S (T, 2n, 2n) is in Sp(n).
 
-    S^T J S = J must hold to residual <= tol * max|S|^2, and |det S - 1| must stay
-    within max(10 tol max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A scale or a
-    limit that overflows fails.
+    |det S - 1| must stay within max(10 tol max(1, |det S|), DET_ROUNDOFF eps |S|_F^2),
+    and each entry of S^T J S - J within tol |s_i| |s_k| (s_i the columns of S), the
+    scale of its round-off.  A norm or a limit that overflows fails; det is checked first.
     """
-    residual, ok, det, det_ok = _symplectic_verdicts(S, tol)
-    if not ok.all():
-        raise ValidationError(
-            f"matrix is not symplectic: residual {residual[ok.argmin()]:.3e} "
-            f"exceeds {tol:.1e} * |S|^2"
-        )
+    _, reading, ok, det, det_ok = _symplectic_verdicts(S, tol)
     if not det_ok.all():  # argmin: the first bad matrix
         raise ValidationError(f"det S = {float(det[det_ok.argmin()])!r}, expected 1")
+    if not ok.all():
+        raise ValidationError(
+            f"matrix is not symplectic: residual {reading[ok.argmin()]:.3e} "
+            f"of |s_i| |s_k| exceeds {tol:.1e}"
+        )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from symcap import (
     random_symplectic,
     shadow_report,
 )
-from symcap.squeeze import NONSQUEEZE_BLOCK, _hull_candidates, _hull_vertices
+from symcap import squeeze
+from symcap.squeeze import MC_BLOCK, NONSQUEEZE_ENTRIES, _hull_stream, _hull_vertices
 
 
 def shear_matrix():
@@ -195,9 +196,9 @@ def test_nonsqueeze_verify_matches_per_trial_loop(n, trials, seed, spread):
 
 
 def test_nonsqueeze_verify_across_blocks():
-    trials = NONSQUEEZE_BLOCK + 3
-    assert nonsqueeze_verify(2, trials, seed=5, R=1.7).to_json() == \
-        reference_report(2, trials, seed=5, R=1.7)
+    trials = NONSQUEEZE_ENTRIES // (2 * 5) ** 2 + 3  # a block holds 327 maps at n = 5
+    assert nonsqueeze_verify(5, trials, seed=5, R=1.7).to_json() == \
+        reference_report(5, trials, seed=5, R=1.7)
 
 
 def test_nonsqueeze_verify_planar_round_off_violations():
@@ -219,11 +220,25 @@ def test_nonsqueeze_verify_memory_does_not_grow_with_trials():
     assert peak(20_000) <= 1.25 * peak(2_000) + 2**20
 
 
+def test_nonsqueeze_verify_memory_does_not_grow_with_n():
+    # a block holds a fixed number of matrix entries: 910 maps at n = 3, 81 at n = 10
+    def peak(n):
+        tracemalloc.start()
+        try:
+            nonsqueeze_verify(n, 2_000, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10) <= 1.25 * peak(3) + 2**20
+
+
 def projected_sphere(S, R, j, samples, seed):
-    """The projected sample points mc_projection_area draws, shape (2, samples)."""
+    """The projected sample points mc_projection_area draws, shape (2, samples), in one
+    draw; |g| is summed column by column, as there."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(samples, 2 * S.n))
-    g *= R / np.linalg.norm(g, axis=1, keepdims=True)
+    g *= R / np.sqrt(sum(np.square(g[:, k]) for k in range(2 * S.n)))[:, None]
     return S.entries[[j - 1, S.n + j - 1]] @ g.T
 
 
@@ -255,8 +270,9 @@ def test_hull_prefilter_keeps_every_vertex(samples):
         pts = projected_sphere(S, 1.0, j, samples, k)
         B = S.entries[[j - 1, S.n + j - 1]]
         full = ConvexHull(pts.T)
-        assert np.isin(full.vertices, _hull_candidates(pts, B)[0]).all()
-        V = _hull_vertices(pts, B).T
+        kept = _hull_stream(B, samples, k)
+        assert set(vertex_set(full.points[full.vertices])) <= set(vertex_set(kept[0].T))
+        V = _hull_vertices(*kept).T
         assert vertex_set(V) == vertex_set(full.points[full.vertices])
         area = mc_projection_area(S, 1.3, j, samples, k) / (1.3 * 1.3)
         assert abs(Fraction(area) - exact_area(full.points[full.vertices])) <= \
@@ -265,8 +281,7 @@ def test_hull_prefilter_keeps_every_vertex(samples):
 
 def test_hull_prefilter_drops_the_interior():
     S = random_symplectic(2, seed=11, spread=0.3)
-    pts = projected_sphere(S, 1.0, 1, 10**5, 0)
-    assert len(_hull_candidates(pts, S.entries[[0, 2]])[0]) < 10**4
+    assert _hull_stream(S.entries[[0, 2]], 10**5, 0)[0].shape[1] < 10**4
 
 
 # the third map is the benchmark's case: n = 2, spread 0.3, 10^6 samples
@@ -278,7 +293,8 @@ def test_mc_projection_area_equals_full_hull_at_full_samples(S, j, seed):
     pts = projected_sphere(S, 1.0, j, 10**6, seed)
     full = ConvexHull(pts.T)
     V = full.points[full.vertices]
-    assert vertex_set(_hull_vertices(pts, S.entries[[j - 1, S.n + j - 1]]).T) == vertex_set(V)
+    B = S.entries[[j - 1, S.n + j - 1]]
+    assert vertex_set(_hull_vertices(*_hull_stream(B, 10**6, seed)).T) == vertex_set(V)
     # measured: at most 1.5e-16 from the exact area (qhull's own volume: up to 7.9e-16)
     exact = exact_area(V)
     assert abs(Fraction(mc_projection_area(S, 1.0, j, 10**6, seed)) - exact) <= \
@@ -287,12 +303,11 @@ def test_mc_projection_area_equals_full_hull_at_full_samples(S, j, seed):
 
 def test_mc_projection_area_of_a_planar_map_is_the_inscribed_polygon():
     # at n = 1 every sample lies on the ellipse S(|u| = 1), so every one is a vertex and
-    # the prefilter grows its top K to every point; the hull is the polygon inscribed at
+    # the prefilter keeps every point; the hull is the polygon inscribed at
     # the samples' angles phi, of area 1/2 sum sin(dphi) (det S = 1), short of pi by
     # (2 pi)^3 / (2 samples^2) = 3.9e-9 pi in expectation; measured: 2.2e-16 from the polygon
     S, R, samples = random_symplectic(1, 5, 1.0), 1.7, 10**5
-    pts = projected_sphere(S, 1.0, 1, samples, 3)
-    assert len(_hull_candidates(pts, S.entries)[0]) == samples
+    assert _hull_stream(S.entries, samples, 3)[0].shape[1] == samples
     g = np.random.default_rng(3).normal(size=(samples, 2))
     phi = np.sort(np.arctan2(g[:, 1], g[:, 0]))
     polygon = 0.5 * np.sum(np.sin(np.diff(phi, append=phi[0] + 2 * math.pi)))
@@ -304,10 +319,63 @@ def test_mc_projection_area_of_a_planar_map_is_the_inscribed_polygon():
 def test_mc_projection_area_of_three_samples_is_their_triangle():
     S = random_symplectic(2, 3, 0.6)
     pts = projected_sphere(S, 1.0, 2, 3, 7)
-    V = _hull_vertices(pts, S.entries[[1, 3]]).T
+    V = _hull_vertices(*_hull_stream(S.entries[[1, 3]], 3, 7)).T
     assert vertex_set(V) == vertex_set(pts.T)
     area = mc_projection_area(S, 2.0, 2, 3, 7) / 4.0
     assert abs(Fraction(area) - exact_area(V)) <= area_round_off(V)
+
+
+@pytest.mark.parametrize("samples", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5])
+def test_hull_stream_across_blocks_equals_the_one_shot_hull(samples):
+    for k, (S, j) in enumerate(HULL_MAPS[:5]):
+        full = ConvexHull(projected_sphere(S, 1.0, j, samples, k).T)
+        V = _hull_vertices(*_hull_stream(S.entries[[j - 1, S.n + j - 1]], samples, k)).T
+        assert vertex_set(V) == vertex_set(full.points[full.vertices])
+
+
+def one_shot_intersection_area(S, R, j, samples, seed):
+    """mc_intersection_area with all samples drawn by one rng.uniform call."""
+    cols = S.inverse().entries[:, [j - 1, S.n + j - 1]]
+    half = np.sqrt(np.diag(np.linalg.inv(cols.T @ cols)))
+    pre = np.random.default_rng(seed).uniform(-half, half, size=(samples, 2)) @ cols.T
+    hits = np.count_nonzero(np.einsum("ij,ij->i", pre, pre) <= 1.0)
+    return 4.0 * float(np.prod(half)) * (hits / samples) * (R * R)
+
+
+@pytest.mark.parametrize("samples", [5, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 123_457])
+def test_mc_intersection_area_equals_the_one_shot_draw(samples):
+    for k, (S, j) in enumerate(HULL_MAPS):
+        expected = one_shot_intersection_area(S, 1.3, j, samples, k)
+        if expected == 0.0:  # every sample missed the slice
+            with pytest.raises(DegenerateInputError):
+                mc_intersection_area(S, 1.3, j, samples, k)
+        else:
+            assert mc_intersection_area(S, 1.3, j, samples, k) == expected
+
+
+@pytest.mark.parametrize("block", [1000, 4096, MC_BLOCK])
+def test_mc_areas_do_not_depend_on_the_block(monkeypatch, block):
+    S, samples = random_symplectic(3, 21, 0.6), 50_001
+    expected = [mc_projection_area(S, 1.0, 2, samples, 4),
+                mc_intersection_area(S, 1.0, 2, samples, 4)]
+    monkeypatch.setattr(squeeze, "MC_BLOCK", block)
+    assert [mc_projection_area(S, 1.0, 2, samples, 4),
+            mc_intersection_area(S, 1.0, 2, samples, 4)] == expected
+
+
+@pytest.mark.parametrize("oracle", [mc_projection_area, mc_intersection_area])
+def test_mc_oracle_memory_does_not_grow_with_samples(oracle):
+    S = random_symplectic(2, 1234567, 0.3)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            oracle(S, 1.0, 2, samples, 9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**6) <= 1.25 * peak(10**5) + 2**20
 
 
 @pytest.mark.parametrize("samples", [-1, 0, 1, 2])

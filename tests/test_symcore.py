@@ -22,7 +22,7 @@ from symcap import (
     standard_form_matrix,
     symplectic_form,
 )
-from symcap.symcore import expm, validate_symplectic
+from symcap.symcore import DEFAULT_TOL, _symplectic_verdicts, expm, validate_symplectic
 
 
 def test_standard_form_matrix_convention():
@@ -191,10 +191,28 @@ def test_overflowing_scale_is_rejected_without_warnings(M):
                                     (np.full((2, 2), 1e154), "0.0")],  # det limit overflows
                          ids=["area-doubling", "det-limit-overflow"])
 def test_is_symplectic_applies_the_det_test(M, det):
-    # the residual test alone passes both: |det M - 1| <= 1e-9 max|M|^2
+    # both fail the residual test too; a matrix that fails both is reported by its det
     assert not is_symplectic(M).ok
     with pytest.raises(ValidationError, match=f"det S = {det}"):
         validate_symplectic(M[None])
+
+
+def test_residual_is_read_against_the_column_norms():
+    # det 1 and max|M^T J M - J| = 5, within 1e-9 max|M|^2 = 10; but the entry
+    # sigma(e_x1, e_p2) = 5 has round-off scale |s_x1| |s_p2| = 1e5
+    A = np.diag([1e5, 1.0])
+    M = np.block([[A, np.zeros((2, 2))],
+                  [np.zeros((2, 2)), np.linalg.inv(A).T @ np.array([[1.0, 5.0], [0.0, 1.0]])]])
+    assert is_symplectic(M) == (False, 5.0)
+    with pytest.raises(ValidationError, match="residual 5.000e-05 of"):
+        validate_symplectic(M[None])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_random_maps_read_far_below_the_tolerance(n):
+    # measured: at most 9.0e-14 over n in {1, 2, 3, 5, 10}, spreads 0.3 to 3
+    S = random_symplectic_stack(n, range(200), 3.0)
+    assert _symplectic_verdicts(S, DEFAULT_TOL)[1].max() <= 1e-12
 
 
 # np.full((2, 2), 1e100) is singular, but within entrywise round-off of a matrix in Sp(1)
