@@ -6,6 +6,10 @@ SYMCAP_HBAR, SYMCAP_TOL, SYMCAP_SEED, SYMCAP_FORMAT supply defaults, with
 flags taking precedence.  Exit codes: 0 success, 1 verification failure,
 2 input error (a malformed flag, environment value or JSON value, or a file
 that cannot be read or written).
+
+Only symcore is imported up front, for the flags; each subcommand imports
+the module it runs, so a one-shot call loads no other (capacity loads
+regions and williamson, spectrum and flow williamson, selftest every module).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import acceptance, ebk, maslov, regions, squeeze, symcore, williamson
+from . import symcore
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -66,6 +70,8 @@ def _hessian(raw: str) -> np.ndarray:
 
 
 def _cmd_spectrum(args):
+    from . import williamson
+
     spec = williamson.symplectic_spectrum(_hessian(args.hessian))
     if args.format == "csv":
         _emit(spec.to_csv(), args)
@@ -76,12 +82,16 @@ def _cmd_spectrum(args):
 
 
 def _cmd_capacity(args):
+    from . import regions
+
     region = regions.region_from_json(args.region)
     _emit(regions.capacity(region).to_json(), args)
     return EXIT_OK
 
 
 def _cmd_squeeze(args):
+    from . import squeeze
+
     report = squeeze.nonsqueeze_verify(args.n, trials=args.trials, seed=args.seed,
                                        tol=args.tol)
     _emit(report.to_json(), args)
@@ -89,6 +99,8 @@ def _cmd_squeeze(args):
 
 
 def _cmd_maslov(args):
+    from . import maslov
+
     if args.loop:
         with open(args.loop) as fh:
             loop = maslov.LagrangianLoop.from_json(fh.read())
@@ -102,7 +114,9 @@ def _cmd_maslov(args):
     return EXIT_OK
 
 
-def _parse_action_hamiltonian(spec: str, n: int) -> ebk.ActionHamiltonian:
+def _parse_action_hamiltonian(spec: str, n: int):
+    from . import ebk
+
     kind, _, payload = spec.partition(":")
     if kind == "oscillator":
         omegas = [_parse("--K", w) for w in payload.split(",")]
@@ -126,6 +140,8 @@ def _parse_action_hamiltonian(spec: str, n: int) -> ebk.ActionHamiltonian:
 
 
 def _cmd_ebk(args):
+    from . import ebk
+
     maslov_tuple = tuple(_parse("--maslov", m, int) for m in args.maslov.split(","))
     K = _parse_action_hamiltonian(args.K, len(maslov_tuple))
     spec = ebk.energy_levels(K, maslov_tuple, args.Nmax, hbar=args.hbar)
@@ -149,6 +165,8 @@ def _cmd_flow(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance
+
     results = acceptance.run_all(acceptance.AcceptanceConfig(
         hbar=args.hbar, tol=args.tol, seed=args.seed))
     lines = []

@@ -131,7 +131,8 @@ PhaseRegion = Union[Ball, Ellipsoid, SolidTorus, Cylinder, AffineImage]
 
 @dataclass(frozen=True)
 class CapacityValue:
-    """A finite capacity in action units; bounds bracket the value when not exact."""
+    """A capacity in action units, > 0 and finite; bounds bracket the value when
+    not exact.  A value that underflowed to 0 or overflowed to inf is refused."""
 
     value: float
     exact: bool
@@ -139,8 +140,9 @@ class CapacityValue:
 
     def __post_init__(self):
         lo, hi = self.bounds
-        if not (lo <= self.value <= hi and math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError(f"capacity {self.value} must be finite and within {self.bounds}")
+        if not (0.0 < lo <= self.value <= hi and math.isfinite(hi)):
+            got = self.value if lo == self.value == hi else f"{self.value} in {self.bounds}"
+            raise ValidationError(f"capacity must be finite and > 0, got {got}")
 
     def to_json(self) -> str:
         return json.dumps(

@@ -37,6 +37,13 @@ def test_capacity_bad_region_is_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("radius, value", [("1e-170", "0.0"), ("1e200", "inf")])
+def test_capacity_out_of_range_is_input_error(capsys, radius, value):
+    code = dispatch(["capacity", "--region", f'{{"variant": "Ball", "R": {radius}}}'])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: capacity must be finite and > 0, got {value}\n"
+
+
 def test_spectrum_json_and_csv(capsys):
     code, out = run(capsys, "spectrum", "--hessian", "[[4.0, 0.0], [0.0, 1.0]]")
     assert code == EXIT_OK

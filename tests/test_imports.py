@@ -5,7 +5,9 @@ earlier per-submodule lints on scipy.linalg, scipy.integrate and
 scipy.optimize, which stay.  At run time, importing the CLI loads no scipy
 submodule, the light subcommands never load scipy.linalg, the
 action-quadrature check loads neither scipy.integrate nor scipy.optimize,
-and the Monte Carlo hull loads no scipy module at all."""
+and the Monte Carlo hull loads no scipy module at all.  ``import symcap``
+loads no submodule, yet every exported name resolves to its home module's
+object, and each CLI subcommand loads only the symcap modules it uses."""
 
 import ast
 import os
@@ -30,9 +32,7 @@ def unused_imports(path: Path) -> list:
     return sorted(imported - used)
 
 
-# __init__.py imports only to re-export
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
@@ -140,3 +140,48 @@ def test_light_subcommands_never_load_scipy_linalg(argv):
             f"assert symcap.cli.dispatch({argv!r}) == 0\n"
             "print('scipy.linalg' in sys.modules)")
     assert _run(code).splitlines()[-1] == "False"
+
+
+def test_package_exports_resolve_lazily():
+    code = """import sys
+import symcap
+print(sorted(m for m in sys.modules if m.startswith("symcap.")))
+assert set(symcap.__all__) <= set(dir(symcap))
+assert symcap.regions is sys.modules["symcap.regions"]
+for module, names in symcap._EXPORTS.items():
+    for name in names:
+        value = getattr(symcap, name)
+        home = sys.modules["symcap." + module]
+        assert value is getattr(home, name) and value.__module__ == home.__name__, name
+assert len(set(symcap.__all__)) == len(symcap.__all__) == sum(map(len, symcap._EXPORTS.values()))
+star = {}
+exec("from symcap import *", star)
+assert all(star[name] is getattr(symcap, name) for name in symcap.__all__)
+try:
+    symcap.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    lines = _run(code).splitlines()
+    assert lines == ["[]", "module 'symcap' has no attribute 'no_such_name'"]
+
+
+SUBCOMMAND_MODULES = {
+    "capacity": {"regions", "williamson"},
+    "spectrum": {"williamson"},
+    "ebk": {"ebk"},
+    "maslov": {"maslov"},
+    "flow": {"williamson"},  # quad_propagator imports williamson's normal form
+    "squeeze": {"squeeze"},
+}
+
+
+@pytest.mark.parametrize("argv", [*NO_LINALG.values(), ["--help"]],
+                         ids=[*NO_LINALG.keys(), "help"])
+def test_subcommand_loads_only_its_modules(argv):
+    code = ("import contextlib, io, sys, symcap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            f"    symcap.cli.dispatch({argv!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'symcap'))")
+    expected = {"cli", "symcore", *SUBCOMMAND_MODULES.get(argv[0], ())}
+    assert _run(code).splitlines()[-1] == str(sorted(["symcap", *("symcap." + m for m in expected)]))

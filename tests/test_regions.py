@@ -172,6 +172,18 @@ def test_capacity_must_be_finite(make):
             make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: capacity(Ball(np.zeros(2), 1e-170)),
+    lambda: capacity(Cylinder(1, np.zeros(2), 1e-170)),
+    lambda: capacity(SolidTorus((1e-170, 1.0))),
+    lambda: sandwich_capacity(1e-170, 1.0, 1),
+], ids=["ball", "cylinder", "solid-torus", "sandwich"])
+def test_capacity_must_not_underflow(make):
+    """Positive radii have positive capacity: pi R^2 = 0 is refused, not returned."""
+    with pytest.raises(ValidationError, match=r"must be finite and > 0, got 0\.0"):
+        make()
+
+
 def test_inclusion_ball_in_cylinder():
     assert inclusion_check(Ball(np.zeros(4), 1.0), Cylinder(1, np.zeros(4), 1.0))
     assert not inclusion_check(Ball(np.zeros(4), 1.5), Cylinder(2, np.zeros(4), 1.0))
