@@ -23,8 +23,7 @@ _EXPORTS = {
                "souriau_map", "torus_cycle_loop", "transport_loop"),
     "ebk": ("ActionHamiltonian", "EBKLevel", "EBKSpectrum", "action_quadrature_1d",
             "capacity_condition", "energy_levels", "ground_bound", "oscillator_hamiltonian",
-            "projection_area_bound", "quantized_actions", "torus_radii_from_actions",
-            "verify_energy_bound"),
+            "quantized_actions", "torus_radii_from_actions", "verify_energy_bound"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

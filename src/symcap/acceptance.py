@@ -213,24 +213,18 @@ def check_maslov(cfg: AcceptanceConfig) -> CheckResult:
 
 def check_theorem_chain(cfg: AcceptanceConfig) -> CheckResult:
     hbar = cfg.hbar
-    half_h = math.pi * hbar
     K = ebk.ActionHamiltonian(K=lambda I: float(np.sum(I**2) + np.prod(I)), n=3,
                               monotone=True)
     spec = ebk.energy_levels(K, maslov=(2, 4, 2), n_max=9, hbar=hbar)
     if len(spec.entries) != 1000:
         return CheckResult("theorem_chain", False, f"grid size {len(spec.entries)} != 1000")
-    e0 = ebk.ground_bound(K, hbar)
-    violations = 0
-    for e in spec.entries:
-        if not ebk.capacity_condition(e, hbar).satisfied:
-            violations += 1
-        if e.energy < e0 - 1e-12:
-            violations += 1
     bound = ebk.verify_energy_bound(K, spec)
+    violations = sum(not ebk.capacity_condition(e, hbar).satisfied for e in spec.entries)
+    violations += sum(m < -1e-12 for m in bound.margins)
     ok = violations == 0 and bound.ok
     return CheckResult("theorem_chain", ok,
                        f"{violations} violations over {len(spec.entries)} entries, "
-                       f"ground bound {e0!r}, half-h {half_h!r}")
+                       f"ground bound {bound.ground!r}, half-h {math.pi * hbar!r}")
 
 
 def check_action_quadrature(cfg: AcceptanceConfig) -> CheckResult:

@@ -213,13 +213,15 @@ class CapacityCheck:
 def capacity_condition(entry: EBKLevel, hbar: float = 1.0) -> CapacityCheck:
     """Check c(solid torus of the entry) = pi min_j R_j^2 >= h/2 = pi hbar.
 
-    It is the least plane area of projection_area_bound (rounding is monotone).
-    For even Maslov indices m_j >= 2 this holds automatically, since
-    R_j^2 = (2 N_j + m_j/2) hbar >= hbar.
+    The capacity is regions.capacity(SolidTorus(radii)), which refuses a capacity
+    that under- or overflows.  For even Maslov indices m_j >= 2 the condition
+    holds automatically, since R_j^2 = (2 N_j + m_j/2) hbar >= hbar.
     """
-    checks = projection_area_bound(entry, hbar)
-    return CapacityCheck(capacity=min(c.area for c in checks),
-                         satisfied=all(c.satisfied for c in checks))
+    from . import regions  # here: it loads williamson, which `symcap ebk` JSON output never needs
+
+    half_h = math.pi * positive("hbar", hbar)
+    c = regions.capacity(regions.SolidTorus(entry.radii)).value
+    return CapacityCheck(capacity=c, satisfied=c >= half_h - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -245,31 +247,13 @@ def verify_energy_bound(K: ActionHamiltonian, spectrum: EBKSpectrum) -> EnergyBo
                              ok=all(m >= -1e-12 for m in margins))
 
 
-@dataclass(frozen=True)
-class PlaneAreaCheck:
-    j: int
-    area: float
-    satisfied: bool
-
-
-def projection_area_bound(entry: EBKLevel, hbar: float = 1.0):
-    """Per-plane check that the torus shadow area pi R_j^2 is >= h/2."""
-    half_h = math.pi * positive("hbar", hbar)
-    checks = []
-    for j, r in enumerate(positive("torus radii", entry.radii).tolist()):
-        area = math.pi * (r * r)
-        if not math.isfinite(area):
-            raise ValidationError(f"plane area pi R^2 of torus radius {r!r} overflows")
-        checks.append(PlaneAreaCheck(j=j + 1, area=area, satisfied=area >= half_h - 1e-12))
-    return checks
-
-
 # --- 1D action quadrature ----------------------------------------------------
 
 # Gauss-Legendre orders: the first rule, doubled until two rules agree to GL_RTOL
 # (relative), and the last allowed
 GL_FIRST, GL_LAST, GL_RTOL = 16, 1024, 1e-10
 MOMENTUM_CAP = 1e12  # a momentum bracket that passes it means an unbounded level set
+POSITION_CAP = 1e6  # a turning-point walk that passes it means an unbounded level set
 ILLINOIS_STEPS = 100
 ROOT_RTOL = 4 * np.finfo(float).eps  # a momentum bracket this narrow relative to p has converged
 
@@ -294,7 +278,8 @@ def _bisect(V, energy, inside, outside):
             inside = mid
 
 
-def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
+def _bracket_turning_points(V, energy):
+    x0 = 0.0
     if V(x0) > energy:
         # walk toward lower potential to find a classically allowed point
         for step in 2.0 ** np.arange(-6, 21):
@@ -313,7 +298,7 @@ def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
         x = x0
         while True:
             nxt = x + direction * step
-            if abs(nxt) > max_range:
+            if abs(nxt) > POSITION_CAP:
                 raise NonCompactOrbitError("no turning point found: orbit not compact")
             if V(nxt) > energy:
                 return _bisect(V, energy, x, nxt)
@@ -324,25 +309,27 @@ def _bracket_turning_points(V, energy, x0=0.0, max_range=1e6):
 
 
 def _widths(hamiltonian, x, energy):
-    """p+(x) - p-(x) with H(x, p+-) = E at each node x, zero where H(x, 0) >= E.
+    """p+(x) - p-(x) = 2 p+(x) with H(x, p+) = E at each node x, zero where H(x, 0) >= E.
 
-    Both branches of every node are one array: each root is bracketed in [0, hi],
-    hi doubling from 1, and all are refined together by the Illinois variant of
-    false position (Dowell and Jarratt 1971) until every bracket is within 4 eps |p|.
+    H is even in p, so only p+ is solved: each root is bracketed in [0, hi], hi
+    doubling from 1, and all are refined together by the Illinois variant of false
+    position (Dowell and Jarratt 1971) until every bracket is within 4 eps |p|.
     """
     v = hamiltonian(x, np.zeros_like(x)) - energy
     inside = np.flatnonzero(v < 0)
-    xs, sign = np.tile(x[inside], 2), np.repeat([1.0, -1.0], inside.size)
-    f = lambda p: hamiltonian(xs, sign * p) - energy
-    a, fa = np.zeros(xs.size), np.tile(v[inside], 2)
+    xs = x[inside]
+    f = lambda p: hamiltonian(xs, p) - energy
+    a, fa = np.zeros(xs.size), v[inside]
     hi = 1.0
-    b, fb = np.full(xs.size, hi), f(hi)
+    b = np.full(xs.size, hi)
+    fb = f(b)
     low = np.flatnonzero(fb < 0)
     while low.size:
         hi *= 2.0
         if hi > MOMENTUM_CAP:
             raise NonCompactOrbitError("level set unbounded in momentum")
-        b[low], fb[low] = hi, hamiltonian(xs[low], sign[low] * hi) - energy
+        b[low] = hi
+        fb[low] = hamiltonian(xs[low], b[low]) - energy
         low = low[fb[low] < 0]
     for _ in range(ILLINOIS_STEPS):
         c = b - fb * (b - a) / (fb - fa)
@@ -352,7 +339,7 @@ def _widths(hamiltonian, x, energy):
         b, fb = c, fc
         if np.all((fc == 0) | (np.abs(b - a) <= ROOT_RTOL * np.abs(c))):
             width = np.zeros(x.size)
-            width[inside] = b.reshape(2, -1).sum(axis=0)
+            width[inside] = 2.0 * b
             return width
     raise DegenerateInputError("momentum root finder did not converge")
 
@@ -363,8 +350,8 @@ def action_quadrature_1d(hamiltonian: Callable, energy: float) -> float:
     Assumes a kinetic-plus-potential profile: H is even-increasing in |p| at
     fixed x, with V(x) = H(x, 0).  H is called elementwise on numpy arrays x
     and p of one shape (and on floats for V).  The turning points are found by
-    bisection and the momentum branches p+(x) >= 0 >= p-(x) by false position;
-    their width is integrated by Gauss-Legendre rules after a sine substitution
+    bisection and the momentum branch p+(x) = -p-(x) >= 0 by false position;
+    the width 2 p+ is integrated by Gauss-Legendre rules after a sine substitution
     that absorbs the square-root endpoints.  The order doubles from 16 until
     two successive rules agree to GL_RTOL, their difference standing in for
     the error of the finer one, which is returned; a potential that is not

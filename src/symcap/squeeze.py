@@ -282,6 +282,9 @@ def nonsqueeze_verify(n: int, trials: int, seed: int, R: float = 1.0,
     For each trial and each conjugate plane, checks projection_area >=
     pi R^2 (1 - tol) and intersection_area <= projection_area.  Violations
     (which would indicate a bug) are collected in the report, never raised.
+    The areas carry round-off of about eps cond(S), so maps with cond(S)
+    beyond about 1e7, which n = 1 draws reach at spread 3, can be listed as
+    violations: nonsqueeze_verify(1, 50, seed=3, spread=3.0) lists 2.
     """
     if trials < 1:
         raise ValidationError(f"need trials >= 1, got {trials}")

@@ -14,14 +14,16 @@ from symcap import (
     energy_levels,
     ground_bound,
     oscillator_hamiltonian,
-    projection_area_bound,
     quantized_actions,
     torus_radii_from_actions,
     verify_energy_bound,
 )
+from symcap import ebk, regions
 from symcap.ebk import (
     FD_ROUNDOFF,
     FD_STEP,
+    CapacityCheck,
+    EBKLevel,
     InvalidMaslovError,
     NonCompactOrbitError,
     TheoremHypothesisError,
@@ -126,7 +128,6 @@ def test_capacity_condition_min_over_planes():
 
 
 def test_capacity_condition_non_quantized_torus():
-    from symcap.ebk import EBKLevel
     entry = EBKLevel(N=(0, 0), maslov=(2, 2), actions=np.array([0.125, 0.5]),
                      radii=np.array([0.5, 1.0]), energy=1.0)
     check = capacity_condition(entry, hbar=1.0)
@@ -134,14 +135,50 @@ def test_capacity_condition_non_quantized_torus():
     assert not check.satisfied
 
 
+def _level(radii):
+    return EBKLevel(N=(0, 0), maslov=(2, 2), actions=np.array([0.5, 0.5]),
+                    radii=None if radii is None else np.array(radii), energy=1.0)
+
+
 @pytest.mark.parametrize("radii", [None, [], [1.0, 0.0], [-1.0], [1e154], [1e155]])
-@pytest.mark.parametrize("check", [capacity_condition, projection_area_bound])
+@pytest.mark.parametrize("check", [capacity_condition])  # the parameter keeps the test ids
 def test_radii_checks_need_positive_radii(check, radii):
-    from symcap.ebk import EBKLevel
-    entry = EBKLevel(N=(0, 0), maslov=(2, 2), actions=np.array([0.5, 0.5]),
-                     radii=None if radii is None else np.array(radii), energy=1.0)
     with pytest.raises(ValidationError):
-        check(entry, hbar=1.0)
+        check(_level(radii), hbar=1.0)
+
+
+# pi R^2 overflows from R = 1e154 on and underflows to 0 at R = 1e-170
+@pytest.mark.parametrize("radii, value", [([1e155], "inf"), ([1e-170], "0.0"),
+                                          ([1e-170, 1.0], "0.0")])
+def test_capacity_condition_refuses_a_capacity_out_of_range(radii, value):
+    with pytest.raises(ValidationError, match=f"capacity must be finite and > 0, got {value}$"):
+        capacity_condition(_level(radii))
+
+
+def test_capacity_condition_reads_only_the_least_plane():
+    # a plane whose area pi R^2 overflows does not decide the capacity
+    assert capacity_condition(_level([1.0, 1e155])) == CapacityCheck(math.pi, True)
+
+
+def _capacity_grids():
+    yield energy_levels(oscillator_hamiltonian([1.0, 0.5]), (2, 2), 9, hbar=0.7)
+    yield energy_levels(oscillator_hamiltonian([0.9, 2.0, 1.3]), (2, 2, 2), 5, hbar=1.6)
+    yield energy_levels(oscillator_hamiltonian([1.5]), (1,), 20, hbar=1.0)
+    yield energy_levels(ActionHamiltonian(K=_quartic, n=3, monotone=True), (2, 4, 2), 5,
+                        hbar=1.3)
+
+
+def test_capacity_condition_is_the_solid_torus_capacity():
+    # against regions.capacity, and against the least per-plane area pi R_j^2 with its
+    # per-plane verdict (rounding is monotone, so the two minima agree bit for bit)
+    for spec in _capacity_grids():
+        half_h = math.pi * spec.hbar
+        for e in spec.entries:
+            check = capacity_condition(e, spec.hbar)
+            planes = [math.pi * (r * r) for r in e.radii.tolist()]
+            assert check.capacity == regions.capacity(regions.SolidTorus(e.radii)).value
+            assert check.capacity == min(planes)
+            assert check.satisfied == all(a >= half_h - 1e-12 for a in planes)
 
 
 def test_verify_energy_bound_oscillator():
@@ -320,26 +357,6 @@ def test_verify_energy_bound_refuses_non_monotone():
         verify_energy_bound(decreasing, spec)
 
 
-def test_projection_area_bound():
-    spec = energy_levels(oscillator_hamiltonian([1.0, 1.0]), (2, 2), 2)
-    ground = spec.entries[0]
-    for check in projection_area_bound(ground, hbar=1.0):
-        assert check.area == pytest.approx(math.pi)
-        assert check.satisfied
-    entry = next(e for e in spec.entries if e.N == (2, 0))
-    areas = [c.area for c in projection_area_bound(entry, hbar=1.0)]
-    assert areas == pytest.approx([5.0 * math.pi, math.pi])
-
-
-def test_projection_area_bound_flags_violation():
-    from symcap.ebk import EBKLevel
-    entry = EBKLevel(N=(0, 0), maslov=(2, 2), actions=np.array([0.405, 0.5]),
-                     radii=np.array([0.9, 1.0]), energy=1.0)
-    checks = projection_area_bound(entry, hbar=1.0)
-    assert not checks[0].satisfied
-    assert checks[1].satisfied
-
-
 def test_hbar_scaling_linear_k():
     omegas = [1.0, 2.0]
     for lam in (0.5, 3.0):
@@ -361,6 +378,48 @@ def test_spectrum_json_and_csv():
     header, *rows = text.strip().splitlines()
     assert header.split(",") == ["N", "actions", "radii", "energy", "capacity", "satisfied"]
     assert len(rows) == 2
+
+
+def _two_branch_widths(hamiltonian, x, energy):
+    """p+ - p- with both momentum branches solved, the reference for ebk._widths."""
+    v = hamiltonian(x, np.zeros_like(x)) - energy
+    inside = np.flatnonzero(v < 0)
+    xs, sign = np.tile(x[inside], 2), np.repeat([1.0, -1.0], inside.size)
+    f = lambda p: hamiltonian(xs, sign * p) - energy
+    a, fa = np.zeros(xs.size), np.tile(v[inside], 2)
+    hi = 1.0
+    b, fb = np.full(xs.size, hi), f(hi)
+    low = np.flatnonzero(fb < 0)
+    while low.size:
+        hi *= 2.0
+        b[low], fb[low] = hi, hamiltonian(xs[low], sign[low] * hi) - energy
+        low = low[fb[low] < 0]
+    for _ in range(ebk.ILLINOIS_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        swap = (fc > 0) != (fb > 0)
+        a, fa = np.where(swap, b, a), np.where(swap, fb, 0.5 * fa)
+        b, fb = c, fc
+        if np.all((fc == 0) | (np.abs(b - a) <= ebk.ROOT_RTOL * np.abs(c))):
+            width = np.zeros(x.size)
+            width[inside] = b.reshape(2, -1).sum(axis=0)
+            return width
+    raise AssertionError("no convergence")
+
+
+WELLS = {
+    "harmonic": lambda x, p: 0.5 * p**2 + 0.5 * 2.3**2 * x**2,
+    "quartic": lambda x, p: 0.5 * p**2 + 0.5 * x**2 + 0.07 * x**4,
+    "morse": lambda x, p: 0.5 * p**2 + 4.0 * (1.0 - np.exp(-0.7 * x)) ** 2,
+}
+
+
+@pytest.mark.parametrize("H", WELLS.values(), ids=WELLS.keys())
+@pytest.mark.parametrize("E", [0.05, 1.0, 3.5])
+def test_widths_equal_both_branches_solved(H, E):
+    # H is even in p, so solving p+ alone and doubling it loses no bit
+    x = np.linspace(-6.0, 6.0, 241)
+    assert ebk._widths(H, x, E).tobytes() == _two_branch_widths(H, x, E).tobytes()
 
 
 def test_action_quadrature_harmonic():

@@ -7,7 +7,8 @@ submodule, the light subcommands never load scipy.linalg, the
 action-quadrature check loads neither scipy.integrate nor scipy.optimize,
 and the Monte Carlo hull loads no scipy module at all.  ``import symcap``
 loads no submodule, yet every exported name resolves to its home module's
-object, and each CLI subcommand loads only the symcap modules it uses."""
+object, and each CLI subcommand loads only the symcap modules it uses.  The
+benchmark's tracer installs over every symcap module and uninstalls cleanly."""
 
 import ast
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symcap"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def unused_imports(path: Path) -> list:
@@ -128,6 +130,8 @@ NO_LINALG = {
                              '{"variant": "SolidTorus", "radii": [1.0, 1.5]}'],
     "spectrum": ["spectrum", "--hessian", "[[4.0, 0.0], [0.0, 1.0]]"],
     "ebk-oscillator": ["ebk", "--K", "oscillator:1.0,1.5", "--maslov", "2,2", "--Nmax", "3"],
+    "ebk-csv": ["--format", "csv", "ebk", "--K", "oscillator:1.0,1.5", "--maslov", "2,2",
+                "--Nmax", "3"],
     "maslov-torus": ["maslov", "--torus", "1.0,1.5", "--cycle", "2"],
     "flow": ["flow", "--hessian", "[[2.0, 0.3], [0.3, 0.5]]", "--t", "1.5", "--z0", "1.0,0.5"],
     "squeeze": ["squeeze", "--n", "3", "--trials", "20"],
@@ -166,10 +170,12 @@ except AttributeError as exc:
     assert lines == ["[]", "module 'symcap' has no attribute 'no_such_name'"]
 
 
+# keyed by the leading words of the argv
 SUBCOMMAND_MODULES = {
     "capacity": {"regions", "williamson"},
     "spectrum": {"williamson"},
     "ebk": {"ebk"},
+    "--format csv ebk": {"ebk", "regions", "williamson"},  # the capacity column
     "maslov": {"maslov"},
     "flow": {"williamson"},  # quad_propagator imports williamson's normal form
     "squeeze": {"squeeze"},
@@ -183,5 +189,37 @@ def test_subcommand_loads_only_its_modules(argv):
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
             f"    symcap.cli.dispatch({argv!r})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'symcap'))")
-    expected = {"cli", "symcore", *SUBCOMMAND_MODULES.get(argv[0], ())}
+    words = " ".join(argv) + " "
+    expected = {"cli", "symcore", *next((m for key, m in SUBCOMMAND_MODULES.items()
+                                         if words.startswith(key + " ")), ())}
     assert _run(code).splitlines()[-1] == str(sorted(["symcap", *("symcap." + m for m in expected)]))
+
+
+def test_tracer_installs_and_uninstalls_over_every_module():
+    # perfbench's --trace 1 wraps each traced function in every symcap module
+    # and patches LagrangianFrame to count frames; uninstall must restore them all
+    code = f"""import importlib, pathlib, sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+from tracing import TRACED, Tracer
+mods = [importlib.import_module("symcap" if p.stem == "__init__" else "symcap." + p.stem)
+        for p in pathlib.Path({str(SRC)!r}).glob("*.py")]
+before = {{(m.__name__, k): v for m in mods for k, v in vars(m).items()}}
+frame_init = sys.modules["symcap.maslov"].LagrangianFrame.__post_init__
+tracer = Tracer()
+tracer.install()
+for module, name in TRACED:
+    assert getattr(sys.modules["symcap." + module], name).__wrapped__, name
+assert sys.modules["symcap.maslov"].LagrangianFrame.__post_init__ is not frame_init
+from symcap import ebk, maslov
+spec = ebk.energy_levels(ebk.oscillator_hamiltonian([1.0]), (2,), 0)
+ebk.capacity_condition(spec.entries[0])
+maslov.maslov_index(maslov.torus_cycle_loop([1.0], 1, samples=16))
+tracer.uninstall()
+after = {{(m.__name__, k): v for m in mods for k, v in vars(m).items()}}
+assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
+assert sys.modules["symcap.maslov"].LagrangianFrame.__post_init__ is frame_init
+print(sorted({{span[2] for span in tracer.spans}}))
+"""
+    assert _run(code).splitlines()[-1] == str(sorted([
+        "ebk.energy_levels", "ebk.capacity_condition", "regions.capacity",
+        "maslov.torus_cycle_loop", "maslov.maslov_index"]))

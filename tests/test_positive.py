@@ -33,9 +33,6 @@ SITES = {
     "ground-bound-hbar": lambda v: ebk.ground_bound(OSCILLATOR, v),
     "capacity-condition-hbar": lambda v: ebk.capacity_condition(LEVEL, v),
     "capacity-condition-radius": lambda v: ebk.capacity_condition(replace(LEVEL, radii=[1.0, v])),
-    "projection-area-bound-hbar": lambda v: ebk.projection_area_bound(LEVEL, v),
-    "projection-area-bound-radius": lambda v: ebk.projection_area_bound(
-        replace(LEVEL, radii=[1.0, v])),
     "maslov-torus-radius": lambda v: maslov.torus_cycle_loop([1.0, v], 1),
     "ball-radius": lambda v: regions.Ball(ORIGIN, v),
     "ellipsoid-level": lambda v: regions.Ellipsoid(ORIGIN, np.eye(2), v),
