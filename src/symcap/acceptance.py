@@ -220,7 +220,7 @@ def check_theorem_chain(cfg: AcceptanceConfig) -> CheckResult:
         return CheckResult("theorem_chain", False, f"grid size {len(spec.entries)} != 1000")
     bound = ebk.verify_energy_bound(K, spec)
     violations = sum(not ebk.capacity_condition(e, hbar).satisfied for e in spec.entries)
-    violations += sum(m < -1e-12 for m in bound.margins)
+    violations += sum(m < -ebk.ROUNDING_RTOL * abs(bound.ground) for m in bound.margins)
     ok = violations == 0 and bound.ok
     return CheckResult("theorem_chain", ok,
                        f"{violations} violations over {len(spec.entries)} entries, "

@@ -17,11 +17,11 @@ here, and the verification report tracks both ratios.
 
 Two Monte Carlo oracles check these closed forms independently, with numpy
 alone: the convex hull of projected sphere samples, whose candidates a
-certified radial prefilter picks and an angular scan reduces to the
-vertices, and rejection sampling of the slice through |S^{-1} z| <= R.  Both
-draw their samples MC_BLOCK rows at a time, and nonsqueeze_verify draws its
-maps NONSQUEEZE_ENTRIES matrix entries at a time, so no kernel's memory grows
-with its sample count, trial count or n, and no output depends on the blocks.
+certified radial cut picks and an angular scan reduces to the vertices, and
+rejection sampling of the slice through |S^{-1} z| <= R.  Both draw MC_BLOCK
+sample rows at a time into one buffer, which only 1-D column passes read, and
+nonsqueeze_verify draws NONSQUEEZE_ENTRIES matrix entries at a time: no kernel's
+memory grows with its sample count, trial count or n; no output depends on blocks.
 """
 
 from __future__ import annotations
@@ -118,47 +118,47 @@ def _hull_stream(B: np.ndarray, samples: int, seed: int):
     from default_rng(seed): the points pts (2, m) that may be hull vertices,
     their whitened coordinates w (2, m), and flip = sign(det r) of the whitening.
 
-    The samples are drawn, normalised and projected MC_BLOCK rows at a time, and
-    each block is folded into the running candidates.  With B^T = Q r, the
-    factor r^T of B B^T = r^T r whitens the shadow into the unit disk, which
-    reverses orientation when det r < 0.  After each block, the points of
-    largest whitened radius so far (16 per HULL_FAN direction) that are extreme
-    in the HULL_FAN directions span a polygon with inradius r_in about the
-    origin (0 when the origin is not inside it).  A point whose whitened radius
-    is below cut = (1 - 1e-9) r_in, less the whitening round-off 8 eps cond(r),
-    lies strictly inside the hull of the samples, so it is not a vertex (Akl
-    and Toussaint, Inf. Proc. Lett. 7 (1978) 219).  The cut only grows; each
-    block drops the points below it, and the candidates are cut again whenever
-    the newer ones outnumber the older, so each point is copied O(1) times.
+    The samples are drawn MC_BLOCK rows at a time, normalised, projected and
+    whitened in 1-D column passes, and folded into the running candidates.
+    With B^T = Q r, the factor r^T of B B^T = r^T r whitens the shadow into the
+    unit disk, which reverses orientation when det r < 0.  The running fan ext,
+    the samples extreme in the HULL_FAN directions, spans a polygon with inradius
+    r_in about the origin (0 when the origin is not inside it).  A point whose
+    whitened radius is below cut = (1 - 1e-9) r_in, less the whitening round-off
+    8 eps cond(r), lies strictly inside the hull of the samples: it is neither a
+    vertex (Akl and Toussaint, Inf. Proc. Lett. 7 (1978) 219) nor extreme, so ext
+    folds in only the points past the cut.  The cut only grows; each block drops
+    the points below it, and the candidates are cut again whenever the newer
+    ones outnumber the older, so each point is copied O(1) times.
     """
     def outside(a):  # the columns of a (points over their whitened ones) that pass the cut
-        return a[:, a[2] ** 2 + a[3] ** 2 >= cut2]
+        return np.compress(a[2] ** 2 + a[3] ** 2 >= cut2, a, axis=1)
 
     r = np.linalg.qr(B.T, mode="r")
     slack = 8 * np.finfo(float).eps * np.linalg.cond(r)
     rng = np.random.default_rng(seed)
     block = np.empty((min(MC_BLOCK, samples), B.shape[1]))
-    cand = top = np.empty((4, 0))
-    fresh, cut2 = [], 0.0
+    cand, ext = np.empty((4, 0)), np.empty((2, 0))
+    fresh, cut2, chunk = [], 0.0, 16 * len(HULL_FAN)  # chunk: points folded into ext at once
     for start in range(0, samples, MC_BLOCK):
         g = block[:samples - start]
         rng.standard_normal(out=g)
-        # |g| summed column by column: the bits of np.linalg.norm(g, axis=1) while
-        # 2n < 8 (numpy sums wider rows pairwise), without its (rows, 2n) temporary
+        # |g| summed and g scaled column by column: the bits of np.linalg.norm(g, axis=1)
+        # while 2n < 8 (numpy sums wider rows pairwise) and of g *= (1 / |g|)[:, None]
         norm = np.square(g[:, 0])
         for k in range(1, g.shape[1]):
             norm += np.square(g[:, k])
-        g *= np.divide(1.0, np.sqrt(norm, out=norm), out=norm)[:, None]
+        inv = np.divide(1.0, np.sqrt(norm, out=norm), out=norm)
+        for k in range(g.shape[1]):
+            g[:, k] *= inv
         pw = np.empty((4, len(g)))
         np.matmul(B, g.T, out=pw[:2])
         pw[2] = pw[0] / r[0, 0]
         pw[3] = (pw[1] - r[0, 1] * pw[2]) / r[1, 1]
         fresh.append(outside(pw))
-        top = np.concatenate([top, fresh[-1]], axis=1)
-        r2 = top[2] ** 2 + top[3] ** 2
-        k = min(r2.size, 16 * len(HULL_FAN))
-        top = top[:, np.argpartition(r2, r2.size - k)[r2.size - k:]]
-        ext = top[2:, np.argmax(HULL_FAN @ top[2:], axis=1)]  # counterclockwise
+        for c in range(0, fresh[-1].shape[1], chunk):
+            pool = np.concatenate([ext, fresh[-1][2:, c:c + chunk]], axis=1)
+            ext = pool[:, np.argmax(HULL_FAN @ pool, axis=1)]  # counterclockwise
         nxt = np.roll(ext, -1, axis=1)
         length = np.hypot(*(nxt - ext))
         dist = (ext[0] * nxt[1] - ext[1] * nxt[0])[length > 0] / length[length > 0]
@@ -206,9 +206,9 @@ def mc_projection_area(S: SymplecticMatrix, R: float, j: int,
     hull falls short: up to 0.95% at 10^6 samples on n = 3 maps drawn at spread 0.6.
 
     The hull is numpy only, in memory that does not grow with the samples:
-    _hull_stream draws them in blocks and keeps the points of largest whitened
-    radius that may be vertices (about 4000 of 10^6 on n = 2 maps), and
-    _hull_vertices scans them in angular order.  The area is
+    _hull_stream whitens each block in column passes and keeps the points past
+    its running fan's cut (3700 to 4800 of 10^6 on n = 2 maps at spread 0.3),
+    and _hull_vertices scans them in angular order.  The area is
     1/2 |sum p_i x (p_{i+1} - p_i)| over the vertices: the short edges
     p_{i+1} - p_i cancel less than the terms p_i x p_{i+1} of the plain
     shoelace sum, which strays far more from the exact area on ill-conditioned B.
@@ -227,22 +227,24 @@ def mc_intersection_area(S: SymplecticMatrix, R: float, j: int,
     """Monte-Carlo oracle: rejection-sampled area of the central plane slice.
 
     Membership is tested through |S^{-1} z| <= 1 only, independent of the
-    closed-form determinant expression.  Samples fill the bounding box of the
-    slice {w : |C w| <= 1}, half-widths sqrt(((C^T C)^{-1})_ii); R^2 scales the area.
+    closed-form determinant expression, as w . G w <= 1, G = C^T C for the plane
+    columns C of S^{-1}: one 1-D pass per term over each block of samples, which
+    fill the slice's bounding box, half-widths sqrt((G^{-1})_ii); R^2 scales the area.
     """
     if samples < 1:
         raise ValidationError(f"need samples >= 1, got {samples}")
     R = positive("ball radius", R)
-    idx = plane_indices(S.n, j)
     rng = np.random.default_rng(seed)
-    Sinv = S.inverse().entries
-    cols = Sinv[:, idx]  # preimage of a plane point (w1, w2) is cols @ w
-
-    half = np.sqrt(np.diag(np.linalg.inv(cols.T @ cols)))
-    hits = 0
-    for start in range(0, samples, MC_BLOCK):  # the bits of one rng.uniform(-half, half) draw
-        pre = (rng.random((min(MC_BLOCK, samples - start), 2)) * (2 * half) - half) @ cols.T
-        hits += np.count_nonzero(np.einsum("ij,ij->i", pre, pre) <= 1.0)
+    cols = S.inverse().entries[:, plane_indices(S.n, j)]  # a plane point w has preimage cols @ w
+    G = cols.T @ cols
+    half = np.sqrt(np.diag(np.linalg.inv(G)))
+    buf, hits = np.empty(2 * min(MC_BLOCK, samples)), 0
+    for start in range(0, samples, MC_BLOCK):
+        x, y = rng.random(out=buf[:2 * (samples - start)]).reshape(-1, 2).T  # strided views
+        for v, h in ((x, half[0]), (y, half[1])):  # the bits of rng.uniform(-half, half)
+            v *= 2 * h
+            v -= h
+        hits += np.count_nonzero(x * (G[0, 0] * x + 2 * G[0, 1] * y) + G[1, 1] * y * y <= 1.0)
     if hits == 0:
         raise DegenerateInputError(f"no sample hit the slice at samples = {samples}")
     return _area_in_range(4.0 * float(np.prod(half)) * (hits / samples) * (R * R), R)

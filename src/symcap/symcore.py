@@ -300,15 +300,15 @@ def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     positive("spread", spread)
-    A = np.empty((len(seeds), 2, 2 * n, 2 * n))
-    theta = np.empty((len(seeds), n))
+    A, theta = np.empty((len(seeds), 2, 2 * n, 2 * n)), np.empty((len(seeds), n))
     for k, seed in enumerate(seeds):  # each map keeps its own stream
         rng = np.random.default_rng(seed)
-        A[k] = rng.normal(scale=spread, size=(2, 2 * n, 2 * n))
-        theta[k] = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        rng.standard_normal(out=A[k])  # scaled below: numpy draws normal(scale=s) as 0 + s z
+        rng.random(out=theta[k])  # and uniform(0, 2 pi) as 0 + 2 pi u, so the bits are the same
+    A *= spread
     A = (A + np.swapaxes(A, 2, 3)) / 2.0
     E = expm(standard_form_matrix(n) @ A)
-    return E[:, 0] @ E[:, 1] @ _plane_rotations(theta)
+    return E[:, 0] @ E[:, 1] @ _plane_rotations(2.0 * np.pi * theta)
 
 
 def random_symplectic_stack(n: int, seeds, spread: float = 1.0) -> np.ndarray:

@@ -250,6 +250,17 @@ def test_ebk_csv_writes_plain_floats(capsys):
                                     "0 0,0.5 0.5,1.0 1.0,1.5,3.141592653589793,True"]
 
 
+@pytest.mark.parametrize("hbar, maslov, nmax, verdicts", [
+    ("1e300", "2,2", "1", ["True"] * 4),  # three rows of capacity pi hbar exactly
+    ("1e-170", "1,1", "0", ["False"]),  # capacity pi hbar / 2
+])
+def test_ebk_csv_capacity_verdict_does_not_depend_on_hbar(capsys, hbar, maslov, nmax, verdicts):
+    code, out = run(capsys, "--hbar", hbar, "--format", "csv", "ebk", "--K", "oscillator:1,1",
+                    "--maslov", maslov, "--Nmax", nmax)
+    assert code == EXIT_OK
+    assert [row.rsplit(",", 1)[1] for row in out.splitlines()[1:] if row] == verdicts
+
+
 def _region(obj):
     return ["capacity", "--region", json.dumps(obj)]
 

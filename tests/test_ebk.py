@@ -178,7 +178,37 @@ def test_capacity_condition_is_the_solid_torus_capacity():
             planes = [math.pi * (r * r) for r in e.radii.tolist()]
             assert check.capacity == regions.capacity(regions.SolidTorus(e.radii)).value
             assert check.capacity == min(planes)
-            assert check.satisfied == all(a >= half_h - 1e-12 for a in planes)
+            assert check.satisfied == all(a >= half_h * (1.0 - ebk.ROUNDING_RTOL) for a in planes)
+
+
+@pytest.mark.parametrize("hbar", [1e-300, 1e-170, 1.0, 1e300])
+def test_capacity_condition_reads_the_same_at_every_hbar(hbar):
+    # Maslov-1 ground levels have capacity pi hbar / 2 and fail; every Maslov-2 level has
+    # capacity >= pi hbar in exact arithmetic (pi hbar on three of them) and passes
+    assert not capacity_condition(energy_levels(oscillator_hamiltonian([1.0]), (1,), 0,
+                                                hbar=hbar).entries[0], hbar).satisfied
+    spec = energy_levels(oscillator_hamiltonian([1.0, 1.0]), (2, 2), 1, hbar=hbar)
+    assert all(capacity_condition(e, hbar).satisfied for e in spec.entries)
+
+
+def test_capacity_condition_slack_covers_the_measured_rounding():
+    # the capacity of a Maslov-2 ground level strays from pi hbar by at most 2.5 eps
+    # (measured), inside ROUNDING_RTOL; a capacity 2 ROUNDING_RTOL short fails
+    for hbar in np.geomspace(1e-300, 1e300, 2001).tolist():
+        entry = energy_levels(oscillator_hamiltonian([1.0]), (2,), 0, hbar=hbar).entries[0]
+        check = capacity_condition(entry, hbar)
+        assert check.satisfied
+        assert abs(check.capacity - math.pi * hbar) <= 3 * np.finfo(float).eps * math.pi * hbar
+    short = math.sqrt(1.0 - 2 * ebk.ROUNDING_RTOL)
+    assert not capacity_condition(_level([short, 1.0]), 1.0).satisfied
+
+
+@pytest.mark.parametrize("hbar", [1e-170, 1.0, 1e300])
+def test_verify_energy_bound_reads_the_same_at_every_hbar(hbar):
+    K = oscillator_hamiltonian([1.0, 1.0])
+    assert verify_energy_bound(K, energy_levels(K, (2, 2), 1, hbar=hbar)).ok
+    rep = verify_energy_bound(K, energy_levels(K, (1, 2), 1, hbar=hbar))
+    assert not rep.ok and min(rep.margins) == pytest.approx(-hbar / 4.0)
 
 
 def test_verify_energy_bound_oscillator():

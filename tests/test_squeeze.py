@@ -209,6 +209,7 @@ def test_nonsqueeze_verify_planar_round_off_violations():
 
 
 def test_nonsqueeze_verify_memory_does_not_grow_with_trials():
+    # 3 and 25 blocks of 81 maps at n = 10; drawn in one block, 2 000 maps peak at 205 MB
     def peak(trials):
         tracemalloc.start()
         try:
@@ -217,7 +218,7 @@ def test_nonsqueeze_verify_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
 
-    assert peak(20_000) <= 1.25 * peak(2_000) + 2**20
+    assert peak(2_000) <= 1.25 * peak(200) + 2**20
 
 
 def test_nonsqueeze_verify_memory_does_not_grow_with_n():
@@ -277,6 +278,15 @@ def test_hull_prefilter_keeps_every_vertex(samples):
         area = mc_projection_area(S, 1.3, j, samples, k) / (1.3 * 1.3)
         assert abs(Fraction(area) - exact_area(full.points[full.vertices])) <= \
             area_round_off(V)
+
+
+def test_hull_prefilter_keeps_every_vertex_over_many_fan_updates(monkeypatch):
+    # 390 blocks of 257 samples: the running fan and its cut are updated after each one
+    monkeypatch.setattr(squeeze, "MC_BLOCK", 257)
+    for k, (S, j) in enumerate(HULL_MAPS):
+        full = ConvexHull(projected_sphere(S, 1.0, j, 10**5, k).T)
+        kept = _hull_stream(S.entries[[j - 1, S.n + j - 1]], 10**5, k)
+        assert set(vertex_set(full.points[full.vertices])) <= set(vertex_set(kept[0].T))
 
 
 def test_hull_prefilter_drops_the_interior():

@@ -22,7 +22,13 @@ from symcap import (
     standard_form_matrix,
     symplectic_form,
 )
-from symcap.symcore import DEFAULT_TOL, _symplectic_verdicts, expm, validate_symplectic
+from symcap.symcore import (
+    DEFAULT_TOL,
+    _plane_rotations,
+    _symplectic_verdicts,
+    expm,
+    validate_symplectic,
+)
 
 
 def test_standard_form_matrix_convention():
@@ -124,6 +130,23 @@ def test_stacked_draw_equals_random_symplectic(n, spread, seeds):
     assert stack.shape == (len(seeds), 2 * n, 2 * n)
     for S, seed in zip(stack, seeds):
         assert S.tobytes() == random_symplectic(n, seed, spread).entries.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("spread", [0.3, 1.0, 3.0])
+def test_stacked_draw_keeps_the_per_seed_stream(n, spread):
+    # each seed's matrix comes from default_rng(seed).normal(scale=spread, size=(2, 2n, 2n))
+    # and then .uniform(0, 2 pi, n), bit for bit
+    seeds = [*range(40), 12345, 2**63 - 1]
+    A = np.empty((len(seeds), 2, 2 * n, 2 * n))
+    theta = np.empty((len(seeds), n))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        A[k] = rng.normal(scale=spread, size=(2, 2 * n, 2 * n))
+        theta[k] = rng.uniform(0.0, 2.0 * np.pi, n)
+    E = expm(standard_form_matrix(n) @ ((A + np.swapaxes(A, 2, 3)) / 2.0))
+    expected = E[:, 0] @ E[:, 1] @ _plane_rotations(theta)
+    assert random_symplectic_stack(n, seeds, spread).tobytes() == expected.tobytes()
 
 
 def hamiltonian_stack(n, shape, seed):
