@@ -63,7 +63,7 @@ class Ellipsoid:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
-        object.__setattr__(self, "hessian", validate_posdef(self.hessian))
+        object.__setattr__(self, "hessian", validate_posdef(self.hessian)[0])
         positive("ellipsoid level", self.level)
         if self.hessian.shape[0] != len(self.center):
             raise DimensionError("ellipsoid center and hessian dimensions differ")
@@ -281,9 +281,11 @@ def _shadow_extent(region: PhaseRegion, j: int):
         S, offset, base = S @ base.map.entries, S @ base.shift + offset, base.inner
     offset = offset + S @ getattr(base, "center", np.zeros(2 * n))
     B, c = S[idx], offset[idx]
-    if isinstance(base, (Ball, Ellipsoid)):  # base = {z : z . M^{-1} z <= 1}
-        M = (base.radius**2 * np.eye(2 * n) if isinstance(base, Ball)
-             else 2.0 * base.level * np.linalg.inv(base.hessian))
+    if isinstance(base, Ball):  # base = {z : z . M^{-1} z <= 1}
+        M = base.radius**2 * np.eye(2 * n)
+    elif isinstance(base, Ellipsoid):  # M = 2 level H^{-1}, from H = U diag(w) U^T
+        _, w, U = validate_posdef(base.hessian)
+        M = (U * (2.0 * base.level / w)) @ U.T
     elif not isinstance(base, SolidTorus):
         raise UnsupportedCombinationError(f"{type(base).__name__} has no bounded shadow")
 
@@ -342,7 +344,7 @@ def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
     if isinstance(outer, Ellipsoid) and isinstance(inner, Ball):
         if np.any(inner.center):
             raise UnsupportedCombinationError("a ball into an ellipsoid must be centered")
-        lam, U = np.linalg.eigh(outer.hessian)
+        _, lam, U = validate_posdef(outer.hessian)
         if 0.5 * inner.radius**2 * lam[-1] <= outer.level * slack:
             return InclusionResult(True, True)
         return InclusionResult(False, True, witness=inner.radius * U[:, -1])

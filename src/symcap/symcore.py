@@ -70,8 +70,10 @@ def plane_indices(n: int, j: int) -> list:
     return [j - 1, n + j - 1]
 
 
-def validate_posdef(R) -> np.ndarray:
-    """Symmetrized copy of a symmetric positive-definite matrix of even order."""
+def validate_posdef(R):
+    """(R, w, U) for a symmetric positive-definite matrix of even order: R the
+    symmetrized copy (R + R^T) / 2 and R = U diag(w) U^T its eigendecomposition,
+    w ascending.  The verdict is on that copy, the matrix every caller uses."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2:
         raise DimensionError(f"expected a square matrix of even order, got shape {R.shape}")
@@ -80,10 +82,11 @@ def validate_posdef(R) -> np.ndarray:
     scale = max(_maxabs(R), np.finfo(float).tiny)
     if _maxabs(R - R.T) > 1e-10 * scale:
         raise ValidationError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(R)
+    R = (R + R.T) / 2.0
+    w, U = np.linalg.eigh(R)
     if w[0] < 1e-12 * scale:
         raise ValidationError(f"matrix is not positive definite: eigenvalue {float(w[0])!r}")
-    return (R + R.T) / 2.0
+    return R, w, U
 
 
 def write_csv(header, rows) -> str:
@@ -337,7 +340,7 @@ class QuadraticHamiltonian:
     hessian: np.ndarray = field()
 
     def __post_init__(self):
-        R = validate_posdef(self.hessian)
+        R = validate_posdef(self.hessian)[0]
         R.setflags(write=False)
         object.__setattr__(self, "hessian", R)
 
@@ -370,7 +373,7 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
     """
     from .williamson import _normal_form
 
-    mu, S = _normal_form(H.hessian)
+    _, mu, S = _normal_form(H.hessian)
     with np.errstate(over="ignore"):
         theta = float(t) * mu
     if not np.isfinite(theta).all():

@@ -10,10 +10,12 @@ quadratic Hamiltonian H(z) = 1/2 z . R z then flows with angular frequencies
 omega_j = mu_j, and the level set 1/2 z . R z <= level is, in normal
 coordinates, the ellipsoid with conjugate-plane radii sqrt(2 * level / mu_j).
 
-One Hermitian eigendecomposition (_normal_form) gives both mu and S, for the
-decomposition and the flow exp(t J R) = S rot(t mu) S^{-1} of
-symcore.quad_propagator alike; the spectrum alone takes only the eigenvalues
-of the same Hermitian matrix.
+R is factorized once, by the eigh in symcore.validate_posdef of the
+symmetrized (R + R^T) / 2 that it judges and returns; R^{-1/2} is built from
+those factors.  One Hermitian eigendecomposition (_normal_form) then gives
+both mu and S, for the decomposition and the flow exp(t J R) = S rot(t mu) S^{-1}
+of symcore.quad_propagator alike; the spectrum alone takes only the
+eigenvalues of the same Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -67,15 +69,16 @@ class WilliamsonDecomposition:
     residual: float
 
 
-def _hermitian_form(R: np.ndarray):
-    """(R^{-1/2}, K = R^{-1/2} J R^{-1/2}) for a validated R; see _normal_form."""
-    w, U = np.linalg.eigh(R)
+def _hermitian_form(w: np.ndarray, U: np.ndarray):
+    """(R^{-1/2}, K = R^{-1/2} J R^{-1/2}) from the eigendecomposition R = U diag(w) U^T
+    that validate_posdef returns; see _normal_form."""
     half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
-    return half_inv, half_inv @ standard_form_matrix(R.shape[0] // 2) @ half_inv
+    return half_inv, half_inv @ standard_form_matrix(len(w) // 2) @ half_inv
 
 
-def _normal_form(R: np.ndarray):
-    """(mu, S) with S^T R S = diag(mu, mu), mu ascending and S symplectic, for a validated R.
+def _normal_form(R):
+    """(R, mu, S): R as validate_posdef returns it, S^T R S = diag(mu, mu), mu ascending
+    and S symplectic.
 
     K = R^{-1/2} J R^{-1/2} is antisymmetric, so iK is Hermitian with eigenvalues
     -1/mu_1 < ... <= -1/mu_n < 0 < 1/mu_n <= ... <= 1/mu_1.  The conjugate of an
@@ -83,19 +86,20 @@ def _normal_form(R: np.ndarray):
     n eigenvectors of the negative half, v = w and repeated mu included: O = sqrt(2)
     [a | b] is orthogonal, O^T K O = J diag(1/mu, 1/mu), and S = R^{-1/2} O diag(mu, mu)^{1/2}.
     """
+    R, w, U = validate_posdef(R)
     n = R.shape[0] // 2
-    half_inv, K = _hermitian_form(R)
+    half_inv, K = _hermitian_form(w, U)
     lam, V = np.linalg.eigh(1j * K)  # reads the lower triangle: K is taken antisymmetric
     mu = -1.0 / lam[:n]
     O = np.concatenate([V[:, :n].real, V[:, :n].imag], axis=1)
-    return mu, half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
+    return R, mu, half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
 
 
 def symplectic_spectrum(R) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive-definite symmetric matrix: -1/mu_j are the
     n negative eigenvalues of the Hermitian iK of _normal_form, taken without eigenvectors."""
-    R = validate_posdef(R)
-    mu = -1.0 / np.linalg.eigvalsh(1j * _hermitian_form(R)[1])[:R.shape[0] // 2]
+    _, w, U = validate_posdef(R)
+    mu = -1.0 / np.linalg.eigvalsh(1j * _hermitian_form(w, U)[1])[:len(w) // 2]
     return SymplecticSpectrum(mu=mu, radii=np.sqrt(2.0 / mu), omega=mu.copy())
 
 
@@ -104,8 +108,7 @@ def williamson_decompose(R) -> WilliamsonDecomposition:
 
     Only the residual bound |S^T R S - D| <= 1e-8 |R| is contractual.
     """
-    R = validate_posdef(R)
-    mu, S = _normal_form(R)
+    R, mu, S = _normal_form(R)
     residual = _maxabs(S.T @ R @ S - np.diag(np.concatenate([mu, mu])))
     bound = 1e-8 * max(_maxabs(R), np.finfo(float).tiny)
     if residual > bound:

@@ -65,6 +65,15 @@ def test_spectrum_from_file(tmp_path, capsys):
     assert json.loads(out)["mu"] == pytest.approx([1.0])
 
 
+def test_spectrum_refuses_a_hessian_indefinite_once_symmetrized(capsys):
+    # symmetric to 1e-10 max|R|, and positive definite in its lower triangle alone,
+    # but (R + R^T) / 2 has eigenvalue -1.56e-11: the spectrum was NaN with exit 0
+    code = dispatch(["spectrum", "--hessian", "[[1.0, 0.500000000099], [0.5, 0.25000000003]]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith("error: matrix is not positive definite")
+
+
 def test_squeeze_passes(capsys):
     code, out = run(capsys, "--seed", "7", "squeeze", "--n", "3", "--trials", "50")
     assert code == EXIT_OK

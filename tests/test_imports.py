@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, only
-symcore.positive compares a value with infinity, and no module imports
+symcore.positive compares a value with infinity, no np.linalg call takes a
+Hessian (symcore.validate_posdef factorizes each one), and no module imports
 scipy, which the package does not depend on: the lint below covers the
 earlier per-submodule lints on scipy.linalg, scipy.integrate and
 scipy.optimize, which stay.  At run time, importing the CLI loads no scipy
@@ -58,6 +59,21 @@ def inf_comparisons(path: Path) -> list:
                          ids=lambda p: p.name)
 def test_only_symcore_compares_with_infinity(path):
     assert inf_comparisons(path) == []
+
+
+def hessian_factorizations(path: Path) -> list:
+    """Lines of np.linalg calls that take a .hessian attribute in an argument."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).startswith(("np.linalg.", "numpy.linalg."))
+                  and any(isinstance(x, ast.Attribute) and x.attr == "hessian"
+                          for arg in (*node.args, *node.keywords) for x in ast.walk(arg)))
+
+
+# a Hessian is checked and factorized by symcore.validate_posdef, nowhere else
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_validate_posdef_factorizes_a_hessian(path):
+    assert hessian_factorizations(path) == []
 
 
 def _run(code: str) -> str:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap import (
+    Ellipsoid,
     ValidationError,
+    capacity,
     normal_radii,
     quad_propagator,
     random_symplectic,
@@ -218,3 +221,78 @@ def test_flow_of_an_ill_conditioned_hessian():
     # measured 1.2e-9 relative; the frequencies carry eps cond(R) round-off
     assert np.max(np.abs(flow - exact)) <= np.finfo(float).eps * np.linalg.cond(R) * \
         np.max(np.abs(exact))
+
+
+# Symmetric to 1e-10 max|R|, yet the lower triangle and the symmetrized matrix disagree
+# on positive-definiteness: A's lower triangle is positive definite, (A + A^T) / 2 has
+# eigenvalue -1.56e-11; B's mirror image is the other way round (2.44e-11).  The
+# verdict was on the lower triangle, the spectrum on the symmetrized matrix, so A gave
+# mu = NaN and B was refused.
+MISJUDGED_A = [[1.0, 0.5 + 0.99e-10], [0.5, 0.25 + 3e-11]]
+MISJUDGED_B = [[1.0, 0.5], [0.5 + 0.99e-10, 0.25 + 8e-11]]
+
+
+@pytest.mark.parametrize("build", [validate_posdef, symplectic_spectrum, williamson_decompose,
+                                   QuadraticHamiltonian,
+                                   lambda R: Ellipsoid(np.zeros(2), R, 1.0)],
+                         ids=["validate_posdef", "symplectic_spectrum", "williamson_decompose",
+                              "QuadraticHamiltonian", "Ellipsoid"])
+def test_posdef_verdict_is_on_the_symmetrized_matrix(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="matrix is not positive definite"):
+            build(MISJUDGED_A)
+        mu = symplectic_spectrum(MISJUDGED_B).mu
+    assert np.isfinite(mu).all() and mu[0] == pytest.approx(5.52e-6, rel=1e-2)
+
+
+def count_factorizations(monkeypatch, dim):
+    """The list that numpy.linalg.eigh and eigvalsh append their name to, from now
+    on, whenever they are called on a real (dim, dim) array."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (dim, dim) and not np.iscomplexobj(a):
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def normal_form_reference(R):
+    """(spectrum mu, decomposition mu, S, residual) along two factorizations of R:
+    eigh of (R + R^T) / 2, then eigvalsh or eigh of iK."""
+    n = R.shape[0] // 2
+    R = (R + R.T) / 2.0
+    w, U = np.linalg.eigh(R)
+    half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
+    K = half_inv @ standard_form_matrix(n) @ half_inv
+    mu_spec = -1.0 / np.linalg.eigvalsh(1j * K)[:n]
+    lam, V = np.linalg.eigh(1j * K)
+    mu = -1.0 / lam[:n]
+    O = np.concatenate([V[:, :n].real, V[:, :n].imag], axis=1)
+    S = half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
+    residual = float(np.max(np.abs(S.T @ R @ S - np.diag(np.concatenate([mu, mu])))))
+    return mu_spec, mu, S, residual
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_one_factorization_per_call_and_the_same_bits(monkeypatch, n):
+    R = random_posdef(2 * n, seed=100 + n)
+    R = (R + R.T) / 2.0
+    H, region = QuadraticHamiltonian(R), Ellipsoid(np.zeros(2 * n), R, 1.0)
+    calls = count_factorizations(monkeypatch, 2 * n)
+    for call in (lambda: symplectic_spectrum(R), lambda: williamson_decompose(R),
+                 lambda: quad_propagator(H, 0.5), lambda: capacity(region)):
+        calls.clear()
+        call()
+        assert calls == ["eigh"]
+    for seed in range(5):
+        R = random_posdef(2 * n, seed)
+        R = (R + R.T) / 2.0
+        mu_spec, mu, S, residual = normal_form_reference(R)
+        dec = williamson_decompose(R)
+        assert np.array_equal(symplectic_spectrum(R).mu, mu_spec)
+        assert np.array_equal(dec.spectrum.mu, mu)
+        assert np.array_equal(dec.S.entries, S)
+        assert dec.residual == residual
