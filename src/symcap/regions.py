@@ -55,7 +55,9 @@ class Ball:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """The set 1/2 (z - center) . hessian (z - center) <= level."""
+    """The set 1/2 (z - center) . hessian (z - center) <= level.  The read-only
+    factors hessian = U diag(w) U^T of validate_posdef are kept as _factors = (w, U),
+    which is not a field."""
 
     center: np.ndarray
     hessian: np.ndarray
@@ -63,7 +65,9 @@ class Ellipsoid:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
-        object.__setattr__(self, "hessian", validate_posdef(self.hessian)[0])
+        R, w, U = validate_posdef(self.hessian)
+        object.__setattr__(self, "hessian", R)
+        object.__setattr__(self, "_factors", (w, U))
         positive("ellipsoid level", self.level)
         if self.hessian.shape[0] != len(self.center):
             raise DimensionError("ellipsoid center and hessian dimensions differ")
@@ -284,7 +288,7 @@ def _shadow_extent(region: PhaseRegion, j: int):
     if isinstance(base, Ball):  # base = {z : z . M^{-1} z <= 1}
         M = base.radius**2 * np.eye(2 * n)
     elif isinstance(base, Ellipsoid):  # M = 2 level H^{-1}, from H = U diag(w) U^T
-        _, w, U = validate_posdef(base.hessian)
+        w, U = base._factors
         M = (U * (2.0 * base.level / w)) @ U.T
     elif not isinstance(base, SolidTorus):
         raise UnsupportedCombinationError(f"{type(base).__name__} has no bounded shadow")
@@ -344,7 +348,7 @@ def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
     if isinstance(outer, Ellipsoid) and isinstance(inner, Ball):
         if np.any(inner.center):
             raise UnsupportedCombinationError("a ball into an ellipsoid must be centered")
-        _, lam, U = validate_posdef(outer.hessian)
+        lam, U = outer._factors
         if 0.5 * inner.radius**2 * lam[-1] <= outer.level * slack:
             return InclusionResult(True, True)
         return InclusionResult(False, True, witness=inner.radius * U[:, -1])

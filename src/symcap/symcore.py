@@ -73,7 +73,8 @@ def plane_indices(n: int, j: int) -> list:
 def validate_posdef(R):
     """(R, w, U) for a symmetric positive-definite matrix of even order: R the
     symmetrized copy (R + R^T) / 2 and R = U diag(w) U^T its eigendecomposition,
-    w ascending.  The verdict is on that copy, the matrix every caller uses."""
+    w ascending.  The verdict is on that copy, the matrix every caller uses.  The
+    three arrays are read-only, so a region or Hamiltonian can keep them."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2:
         raise DimensionError(f"expected a square matrix of even order, got shape {R.shape}")
@@ -86,6 +87,8 @@ def validate_posdef(R):
     w, U = np.linalg.eigh(R)
     if w[0] < 1e-12 * scale:
         raise ValidationError(f"matrix is not positive definite: eigenvalue {float(w[0])!r}")
+    for a in (R, w, U):
+        a.setflags(write=False)
     return R, w, U
 
 
@@ -335,14 +338,15 @@ def random_symplectic(n: int, seed: int, spread: float = 1.0) -> SymplecticMatri
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H(z) = 1/2 z . R z with R symmetric positive definite."""
+    """H(z) = 1/2 z . R z with R symmetric positive definite.  The read-only factors
+    R = U diag(w) U^T of validate_posdef are kept as _factors = (w, U), not a field."""
 
     hessian: np.ndarray = field()
 
     def __post_init__(self):
-        R = validate_posdef(self.hessian)[0]
-        R.setflags(write=False)
+        R, w, U = validate_posdef(self.hessian)
         object.__setattr__(self, "hessian", R)
+        object.__setattr__(self, "_factors", (w, U))
 
     @property
     def n(self) -> int:
@@ -373,7 +377,7 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
     """
     from .williamson import _normal_form
 
-    _, mu, S = _normal_form(H.hessian)
+    mu, S = _normal_form(*H._factors)
     with np.errstate(over="ignore"):
         theta = float(t) * mu
     if not np.isfinite(theta).all():

@@ -11,11 +11,12 @@ omega_j = mu_j, and the level set 1/2 z . R z <= level is, in normal
 coordinates, the ellipsoid with conjugate-plane radii sqrt(2 * level / mu_j).
 
 R is factorized once, by the eigh in symcore.validate_posdef of the
-symmetrized (R + R^T) / 2 that it judges and returns; R^{-1/2} is built from
-those factors.  One Hermitian eigendecomposition (_normal_form) then gives
-both mu and S, for the decomposition and the flow exp(t J R) = S rot(t mu) S^{-1}
-of symcore.quad_propagator alike; the spectrum alone takes only the
-eigenvalues of the same Hermitian matrix.
+symmetrized (R + R^T) / 2 that it judges and returns, and a QuadraticHamiltonian
+keeps those factors; R^{-1/2} is built from them.  One Hermitian
+eigendecomposition (_normal_form) then gives both mu and S, for the
+decomposition and the flow exp(t J R) = S rot(t mu) S^{-1} of
+symcore.quad_propagator alike; the spectrum alone takes only the eigenvalues
+of the same Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def _hermitian_form(w: np.ndarray, U: np.ndarray):
     return half_inv, half_inv @ standard_form_matrix(len(w) // 2) @ half_inv
 
 
-def _normal_form(R):
-    """(R, mu, S): R as validate_posdef returns it, S^T R S = diag(mu, mu), mu ascending
-    and S symplectic.
+def _normal_form(w, U):
+    """(mu, S) with S^T R S = diag(mu, mu), mu ascending and S symplectic, from the
+    eigendecomposition R = U diag(w) U^T that validate_posdef returns.
 
     K = R^{-1/2} J R^{-1/2} is antisymmetric, so iK is Hermitian with eigenvalues
     -1/mu_1 < ... <= -1/mu_n < 0 < 1/mu_n <= ... <= 1/mu_1.  The conjugate of an
@@ -86,13 +87,12 @@ def _normal_form(R):
     n eigenvectors of the negative half, v = w and repeated mu included: O = sqrt(2)
     [a | b] is orthogonal, O^T K O = J diag(1/mu, 1/mu), and S = R^{-1/2} O diag(mu, mu)^{1/2}.
     """
-    R, w, U = validate_posdef(R)
-    n = R.shape[0] // 2
+    n = len(w) // 2
     half_inv, K = _hermitian_form(w, U)
     lam, V = np.linalg.eigh(1j * K)  # reads the lower triangle: K is taken antisymmetric
     mu = -1.0 / lam[:n]
     O = np.concatenate([V[:, :n].real, V[:, :n].imag], axis=1)
-    return R, mu, half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
+    return mu, half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
 
 
 def symplectic_spectrum(R) -> SymplecticSpectrum:
@@ -108,7 +108,8 @@ def williamson_decompose(R) -> WilliamsonDecomposition:
 
     Only the residual bound |S^T R S - D| <= 1e-8 |R| is contractual.
     """
-    R, mu, S = _normal_form(R)
+    R, w, U = validate_posdef(R)
+    mu, S = _normal_form(w, U)
     residual = _maxabs(S.T @ R @ S - np.diag(np.concatenate([mu, mu])))
     bound = 1e-8 * max(_maxabs(R), np.finfo(float).tiny)
     if residual > bound:

@@ -411,18 +411,19 @@ def test_spectrum_json_and_csv():
 
 
 def _two_branch_widths(hamiltonian, x, energy):
-    """p+ - p- with both momentum branches solved, the reference for ebk._widths."""
+    """p+ - p- with both momentum branches solved as H(x, +-sqrt(q)) = E, the
+    reference for ebk._widths."""
     v = hamiltonian(x, np.zeros_like(x)) - energy
     inside = np.flatnonzero(v < 0)
     xs, sign = np.tile(x[inside], 2), np.repeat([1.0, -1.0], inside.size)
-    f = lambda p: hamiltonian(xs, sign * p) - energy
+    f = lambda q: hamiltonian(xs, sign * np.sqrt(q)) - energy
     a, fa = np.zeros(xs.size), np.tile(v[inside], 2)
     hi = 1.0
     b, fb = np.full(xs.size, hi), f(hi)
     low = np.flatnonzero(fb < 0)
     while low.size:
         hi *= 2.0
-        b[low], fb[low] = hi, hamiltonian(xs[low], sign[low] * hi) - energy
+        b[low], fb[low] = hi * hi, hamiltonian(xs[low], sign[low] * hi) - energy
         low = low[fb[low] < 0]
     for _ in range(ebk.ILLINOIS_STEPS):
         c = b - fb * (b - a) / (fb - fa)
@@ -432,7 +433,7 @@ def _two_branch_widths(hamiltonian, x, energy):
         b, fb = c, fc
         if np.all((fc == 0) | (np.abs(b - a) <= ebk.ROOT_RTOL * np.abs(c))):
             width = np.zeros(x.size)
-            width[inside] = b.reshape(2, -1).sum(axis=0)
+            width[inside] = np.sqrt(b).reshape(2, -1).sum(axis=0)
             return width
     raise AssertionError("no convergence")
 
@@ -450,6 +451,54 @@ def test_widths_equal_both_branches_solved(H, E):
     # H is even in p, so solving p+ alone and doubling it loses no bit
     x = np.linspace(-6.0, 6.0, 241)
     assert ebk._widths(H, x, E).tobytes() == _two_branch_widths(H, x, E).tobytes()
+
+
+@pytest.mark.parametrize("H", WELLS.values(), ids=WELLS.keys())
+@pytest.mark.parametrize("E", [0.05, 1.0, 3.5, 1e3])
+def test_widths_match_the_closed_form(H, E):
+    # p+ = sqrt(2 (E - V)) for the kinetic energy p^2 / 2; measured worst 2.5 eps
+    x = np.linspace(-6.0, 6.0, 2401)
+    V = H(x, np.zeros_like(x))
+    width, inside = ebk._widths(H, x, E), V < E
+    assert np.all(width[~inside] == 0.0)
+    exact = 2.0 * np.sqrt(2.0 * (E - V[inside]))
+    assert np.max(np.abs(width[inside] - exact) / exact) <= 4 * np.finfo(float).eps
+
+
+def test_action_quadrature_call_budget():
+    # q = p^2 makes H linear in the unknown, so false position needs about two
+    # steps: 1095 array calls of H over these 90 wells, 3300 solving for p
+    rng = np.random.default_rng(21)
+    array_calls = []
+
+    def counted(H):
+        def H_counted(x, p):
+            array_calls.append(isinstance(x, np.ndarray))
+            return H(x, p)
+        return H_counted
+
+    for _ in range(30):
+        w, lam = rng.uniform(0.3, 3.0), rng.uniform(0.01, 0.3)
+        D, a = rng.uniform(1.0, 8.0), rng.uniform(0.3, 1.5)
+        for H, E in [(lambda x, p: 0.5 * p**2 + 0.5 * w * w * x**2, rng.uniform(0.1, 5.0)),
+                     (lambda x, p: 0.5 * p**2 + 0.5 * x**2 + lam * x**4, rng.uniform(0.1, 5.0)),
+                     (lambda x, p: 0.5 * p**2 + D * (1.0 - np.exp(-a * x)) ** 2,
+                      rng.uniform(0.05, 0.9) * D)]:
+            action_quadrature_1d(counted(H), E)
+    assert sum(array_calls) <= 1200
+
+
+@pytest.mark.parametrize("p_peak, solved", [(3e11, True), (3e12, False)])
+def test_momentum_cap_applies_to_p(p_peak, solved):
+    # H = p^2 / 2m + x^2 / 2 at E = 1 has turning points +-sqrt(2) and p+ peaking
+    # at sqrt(2m); the bracket on p stops at MOMENTUM_CAP = 1e12
+    m = p_peak**2 / 2.0
+    H = lambda x, p: 0.5 * p**2 / m + 0.5 * x**2
+    if solved:
+        assert action_quadrature_1d(H, 1.0) == pytest.approx(math.sqrt(m), rel=1e-12)
+    else:
+        with pytest.raises(NonCompactOrbitError, match="momentum"):
+            action_quadrature_1d(H, 1.0)
 
 
 def test_action_quadrature_harmonic():

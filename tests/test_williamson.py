@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap import (
+    Ball,
+    Cylinder,
     Ellipsoid,
     ValidationError,
     capacity,
+    inclusion_check,
     normal_radii,
     quad_propagator,
     random_symplectic,
     symplectic_spectrum,
     williamson_decompose,
 )
+from symcap.regions import region_to_dict
 from symcap.symcore import QuadraticHamiltonian, standard_form_matrix, validate_posdef
 
 
@@ -281,12 +286,19 @@ def test_one_factorization_per_call_and_the_same_bits(monkeypatch, n):
     R = random_posdef(2 * n, seed=100 + n)
     R = (R + R.T) / 2.0
     H, region = QuadraticHamiltonian(R), Ellipsoid(np.zeros(2 * n), R, 1.0)
+    shifted = Ellipsoid(np.full(2 * n, 0.1), R, 1.0)
     calls = count_factorizations(monkeypatch, 2 * n)
-    for call in (lambda: symplectic_spectrum(R), lambda: williamson_decompose(R),
-                 lambda: quad_propagator(H, 0.5), lambda: capacity(region)):
+    # quad_propagator and inclusion_check read the factors kept at construction
+    for call, expected in [(lambda: symplectic_spectrum(R), ["eigh"]),
+                           (lambda: williamson_decompose(R), ["eigh"]),
+                           (lambda: quad_propagator(H, 0.5), []),
+                           (lambda: capacity(region), ["eigh"]),
+                           (lambda: inclusion_check(Ball(np.zeros(2 * n), 0.5), region), []),
+                           (lambda: inclusion_check(shifted, Cylinder(1, np.zeros(2 * n), 9.0)),
+                            [])]:
         calls.clear()
         call()
-        assert calls == ["eigh"]
+        assert calls == expected
     for seed in range(5):
         R = random_posdef(2 * n, seed)
         R = (R + R.T) / 2.0
@@ -296,3 +308,23 @@ def test_one_factorization_per_call_and_the_same_bits(monkeypatch, n):
         assert np.array_equal(dec.spectrum.mu, mu)
         assert np.array_equal(dec.S.entries, S)
         assert dec.residual == residual
+
+
+@pytest.mark.parametrize("build, names", [
+    (QuadraticHamiltonian, ["hessian"]),
+    (lambda R: Ellipsoid(np.zeros(4), R, 1.0), ["center", "hessian", "level"]),
+], ids=["QuadraticHamiltonian", "Ellipsoid"])
+def test_kept_factors_are_read_only_and_not_fields(build, names):
+    R = random_posdef(4, seed=3)
+    R = (R + R.T) / 2.0 + np.triu(np.full((4, 4), 1e-14), 1)  # symmetric within the check
+    held = build(R)
+    assert [f.name for f in dataclasses.fields(held)] == names
+    assert "_factors" not in repr(held)
+    # (R + R^T) / 2 of the stored symmetric R is R, so re-validating gives the same bits
+    for kept, fresh in zip((held.hessian, *held._factors), validate_posdef(held.hessian)):
+        assert kept.tobytes() == fresh.tobytes() and not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        held.hessian[0, 0] = 2.0
+    if isinstance(held, Ellipsoid):
+        assert region_to_dict(held) == {"variant": "Ellipsoid", "center": [0.0] * 4,
+                                        "hessian": held.hessian.tolist(), "level": 1.0}
