@@ -97,15 +97,15 @@ def check_capacity_axioms(cfg: AcceptanceConfig) -> CheckResult:
             worst_conf = max(worst_conf, abs(c1 - lam**2 * c0) / (lam**2 * c0))
     if worst_conf > 1e-12:
         return CheckResult("capacity_axioms", False, f"conformality off by {worst_conf:.3e}")
-    # monotonicity on 500 nested ellipsoid pairs (M_inner >= M_outer => nested)
+    # monotonicity on 500 ellipsoid pairs, M_inner >= M_outer, nested by inclusion_check
     mono_fail = 0
     for _ in range(500):
         n2 = 2 * int(rng.integers(1, 4))
         M_outer = _random_posdef(n2, rng)
         M_inner = M_outer + _random_posdef(n2, rng)
-        ci = regions.capacity(regions.Ellipsoid(np.zeros(n2), M_inner, 1.0)).value
-        co = regions.capacity(regions.Ellipsoid(np.zeros(n2), M_outer, 1.0)).value
-        if ci > co + 1e-12:
+        inner, outer = (regions.Ellipsoid(np.zeros(n2), M, 1.0) for M in (M_inner, M_outer))
+        ci, co = regions.capacity(inner).value, regions.capacity(outer).value
+        if ci > co + 1e-12 or not regions.inclusion_check(inner, outer):
             mono_fail += 1
     if mono_fail:
         return CheckResult("capacity_axioms", False, f"{mono_fail} monotonicity failures")

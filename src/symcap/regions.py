@@ -5,9 +5,9 @@ D^2(R_1) x ... x D^2(R_n), cylinders over a conjugate plane, and affine
 symplectic images of any of these.  A symplectic capacity is monotone, scales
 as lambda^2, is invariant under symplectomorphisms, and equals pi R^2 on balls
 and cylinders; on ellipsoids and solid tori all capacities coincide and equal
-pi * min_j R_j^2.  A solid torus is the intersection of the cylinders over its
-planes, so inclusion into either is decided by one rule: the farthest point of
-the inner region's shadow on each constrained plane.
+pi * min_j R_j^2.  Inclusion has one rule: each outer is |D z| <= r on one or
+more linear forms D (a cylinder's plane rows, one per plane of a solid torus, one
+for a ball or ellipsoid), and inner fits when its largest |D z| is <= r on each.
 """
 
 from __future__ import annotations
@@ -199,18 +199,12 @@ def scale_region(region: PhaseRegion, lam: float) -> PhaseRegion:
 
 def map_region(region: PhaseRegion, S: SymplecticMatrix, shift=None) -> PhaseRegion:
     """Wrap the region in an affine symplectic image, collapsing nested layers."""
-    if shift is None:
-        shift = np.zeros(2 * S.n)
-    shift = as_phase_point(shift)
-    if len(shift) != 2 * S.n:
-        raise DimensionError("shift dimension does not match the map")
-    if region.n != S.n:
-        raise DimensionError("region dimension does not match the map")
+    image = AffineImage(S, np.zeros(2 * S.n) if shift is None else shift, region)
     if isinstance(region, AffineImage):
         # S(S0 z + c0) + c = (S S0) z + (S c0 + c)
         composed = SymplecticMatrix(S.entries @ region.map.entries)
-        return AffineImage(composed, S.entries @ region.shift + shift, region.inner)
-    return AffineImage(S, shift, region)
+        return AffineImage(composed, S.entries @ region.shift + image.shift, region.inner)
+    return image
 
 
 def sandwich_capacity(inner_radius: float, outer_radius: float, j: int) -> CapacityValue:
@@ -264,98 +258,104 @@ def _circle_argmax(h) -> float:
     return peaks[np.argmax(np.max(vals, axis=1))]
 
 
-def _shadow_extent(region: PhaseRegion, j: int):
-    """Largest distance from the origin of the region's shadow on plane j, and
-    a point of the region whose shadow lies that far out.
-
-    A solid torus casts the round disk of radius R_j.  Any other region is
-    composed into S(base) + offset with base centered at the origin.  The
-    shadow's support function in the plane direction u is
-    h(u) = h_base(B^T u) + u . (offset)_j, B the plane rows of S, and the
-    farthest shadow point lies at max_u h(u).  Without an offset the shadow of
-    a ball or ellipsoid is an ellipse, whose largest semi-axis is closed-form.
-    """
-    n = region.n
-    idx = plane_indices(n, j)
-    if isinstance(region, SolidTorus):
-        R = region.radii[j - 1]
-        return R, R * np.eye(2 * n)[idx[0]]
-    S, offset, base = np.eye(2 * n), np.zeros(2 * n), region
+def _compose(region: PhaseRegion):
+    """(c, L, base), base not an image: region = c + L B(1) for a ball or ellipsoid
+    base, else c + L(base)."""
+    L, c, base = np.eye(2 * region.n), np.zeros(2 * region.n), region
     while isinstance(base, AffineImage):
-        S, offset, base = S @ base.map.entries, S @ base.shift + offset, base.inner
-    offset = offset + S @ getattr(base, "center", np.zeros(2 * n))
-    B, c = S[idx], offset[idx]
-    if isinstance(base, Ball):  # base = {z : z . M^{-1} z <= 1}
-        M = base.radius**2 * np.eye(2 * n)
-    elif isinstance(base, Ellipsoid):  # M = 2 level H^{-1}, from H = U diag(w) U^T
+        L, c, base = L @ base.map.entries, L @ base.shift + c, base.inner
+    c = c + L @ getattr(base, "center", np.zeros(len(c)))
+    if isinstance(base, Ellipsoid):  # base = center + U diag(sqrt(2 level / w)) B(1)
         w, U = base._factors
-        M = (U * (2.0 * base.level / w)) @ U.T
-    elif not isinstance(base, SolidTorus):
-        raise UnsupportedCombinationError(f"{type(base).__name__} has no bounded shadow")
+        L = L @ (U * np.sqrt(2.0 * base.level / w))
+    return c, (base.radius * L if isinstance(base, Ball) else L), base
 
-    def support(theta):  # base points maximizing z . B^T u, u = (cos, sin)(theta); h(u)
+
+def _farthest(K, a):
+    """The largest |a + K u| over |u| <= 1 and a u attaining it, the trust-region
+    subproblem (More and Sorensen 1983).  With K = Y diag(s) Z^T, beta = s Y^T a and
+    gap = s_0^2 - s^2 (in units of s_0^2), u = Z v with v_i = beta_i / (t + gap_i),
+    t >= 0 the root of |v| = 1.  In the hard case (beta = 0 where gap = 0, as for
+    every centered region) t = 0 gives |v| <= 1, and v is completed along s_0.
+    """
+    Y, s, Zt = np.linalg.svd(K, full_matrices=False)
+    beta, gap = s / s[0] * (Y.T @ a) / s[0], 1.0 - (s / s[0]) ** 2
+    v = np.divide(beta, gap, out=np.zeros_like(beta), where=gap > 0.0)
+    if np.any(beta[gap == 0.0]) or math.hypot(*v) > 1.0:  # hypot neither overflows nor warns
+        lo, hi = 0.0, math.hypot(*beta)
+        while lo < (t := 0.5 * (lo + hi)) < hi:
+            lo, hi = (t, hi) if np.sum((beta / (t + gap)) ** 2) > 1.0 else (lo, t)
+        v = beta / (hi + gap)
+    else:
+        v[0] = math.sqrt(max(0.0, 1.0 - v @ v))  # |v| <= 1 up to round-off
+    u = Zt.T @ v
+    return math.hypot(*(a + K @ u)), u
+
+
+def _extent(region: PhaseRegion, D):
+    """The largest |D z| over z in the region, and a point z attaining it.
+
+    A ball, ellipsoid or image of one is c + L B(1), a trust-region problem.  A
+    solid torus or its image c + L(torus) is measured by a plane's rows D only:
+    its shadow's support function is h(u) = sum_k R_k |B_k^T u| + u . D c, B = D L
+    and B_k its columns on plane k, and the farthest shadow point lies at
+    max_u h(u).  A bare torus casts a round disk, so any u is farthest.
+    """
+    c, L, base = _compose(region)
+    if isinstance(base, (Ball, Ellipsoid)):
+        value, u = _farthest(D @ L, D @ c)
+        return value, c + L @ u
+    if not isinstance(base, SolidTorus):
+        raise UnsupportedCombinationError(f"{type(base).__name__} has no bounded shadow")
+    n, B, off = base.n, D @ L, D @ c
+
+    def support(theta):  # torus points maximizing z . B^T u, u = (cos, sin)(theta); h(u)
         u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         v = u @ B
-        if isinstance(base, SolidTorus):
-            # each disk D^2(R_k) contributes R_k (v_xk, v_pk) / |(v_xk, v_pk)|
-            norm = np.hypot(v[..., :n], v[..., n:])
-            scale = np.divide(base.radii, norm, out=np.zeros_like(norm), where=norm > 0)
-            z = v * np.concatenate([scale, scale], axis=-1)
-        else:
-            w = v @ M
-            z = w / np.sqrt(np.sum(v * w, axis=-1, keepdims=True))
-        return z, np.sum(v * z, axis=-1) + u @ c
+        # each disk D^2(R_k) contributes R_k (v_xk, v_pk) / |(v_xk, v_pk)|
+        norm = np.hypot(v[..., :n], v[..., n:])
+        scale = np.divide(base.radii, norm, out=np.zeros_like(norm), where=norm > 0)
+        z = v * np.concatenate([scale, scale], axis=-1)
+        return z, np.sum(v * z, axis=-1) + u @ off
 
-    if isinstance(base, (Ball, Ellipsoid)) and not np.any(c):
-        # the shadow is the ellipse {w : w . (B M B^T)^{-1} w <= 1}
-        u = np.linalg.eigh(B @ M @ B.T)[1][:, -1]
-        theta = math.atan2(u[1], u[0])
-    else:
-        theta = _circle_argmax(lambda t: support(t)[1])
-    z, h = support(np.array(theta))
-    return float(h), S @ z + offset
+    z, h = support(np.array(0.0 if base is region else _circle_argmax(lambda t: support(t)[1])))
+    return float(h), L @ z + c
 
 
 def inclusion_check(inner: PhaseRegion, outer: PhaseRegion) -> InclusionResult:
     """Decide whether inner is contained in outer (same n; outer centered).
 
-    A cylinder Z_j(r) contains inner exactly when the shadow of inner on plane
-    j stays within distance r of the origin, and a solid torus is the
-    intersection of the cylinders Z_j(R_j) over its planes.  So a ball,
-    ellipsoid, solid torus or affine image of one (any shift or center) is
-    tested exactly against a cylinder or a solid torus, one plane at a time,
-    and a negative verdict carries a witness point of inner outside outer,
-    from the first plane that fails.  A centered ball into a centered
-    ellipsoid is exact too, and its witness is the ball's point along the
-    top eigenvector of the ellipsoid's Hessian.  Anything else raises
-    UnsupportedCombinationError.
+    Each outer is {z : |D z| <= r} on one or more forms (D, r): a plane's rows
+    and r for a cylinder Z_j(r), one per plane for a solid torus, (I, R) for a
+    ball B(R), and diag(sqrt(w / w_max)) U^T with the shortest semi-axis for an
+    ellipsoid of Hessian U diag(w) U^T.  A ball, ellipsoid, solid torus or affine
+    image of one fits exactly when its largest |D z| is at most r on every form;
+    a negative verdict carries a witness point of inner outside outer.  A solid
+    torus or its image into a ball or ellipsoid, a cylinder inner and an
+    affine-image outer raise UnsupportedCombinationError.
     """
     if inner.n != outer.n:
         raise DimensionError("regions live in different dimensions")
     if np.any(getattr(outer, "center", 0.0)):
         raise UnsupportedCombinationError("inclusion_check requires a centered outer region")
-    slack = 1.0 + 1e-12  # relative slack on each radius or level compared
-
-    if isinstance(outer, (Cylinder, SolidTorus)):
-        planes = ([(outer.pair_index, outer.radius)] if isinstance(outer, Cylinder)
-                  else enumerate(outer.radii, start=1))
-        for j, r in planes:
-            extent, point = _shadow_extent(inner, j)
-            if extent > r * slack:
-                return InclusionResult(False, True, witness=point)
-        return InclusionResult(True, True)
-
-    if isinstance(outer, Ellipsoid) and isinstance(inner, Ball):
-        if np.any(inner.center):
-            raise UnsupportedCombinationError("a ball into an ellipsoid must be centered")
-        lam, U = outer._factors
-        if 0.5 * inner.radius**2 * lam[-1] <= outer.level * slack:
-            return InclusionResult(True, True)
-        return InclusionResult(False, True, witness=inner.radius * U[:, -1])
-
-    raise UnsupportedCombinationError(
-        f"no inclusion test for {type(inner).__name__} into {type(outer).__name__}"
-    )
+    n, slack = outer.n, 1.0 + 1e-12  # relative slack on each r compared
+    if isinstance(outer, Cylinder):
+        forms = [(np.eye(2 * n)[plane_indices(n, outer.pair_index)], outer.radius)]
+    elif isinstance(outer, SolidTorus):
+        forms = [(np.eye(2 * n)[plane_indices(n, j)], r) for j, r in enumerate(outer.radii, 1)]
+    elif isinstance(outer, Ball) and not isinstance(_compose(inner)[2], SolidTorus):
+        forms = [(np.eye(2 * n), outer.radius)]
+    elif isinstance(outer, Ellipsoid) and not isinstance(_compose(inner)[2], SolidTorus):
+        w, U = outer._factors
+        forms = [(np.sqrt(w / w[-1])[:, None] * U.T, math.sqrt(2.0 * outer.level / w[-1]))]
+    else:
+        raise UnsupportedCombinationError(
+            f"no inclusion test for {type(inner).__name__} into {type(outer).__name__}")
+    for D, r in forms:
+        value, point = _extent(inner, D)
+        if value > r * slack:
+            return InclusionResult(False, True, witness=point)
+    return InclusionResult(True, True)
 
 
 # --- JSON interchange -------------------------------------------------------

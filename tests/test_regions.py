@@ -9,6 +9,7 @@ from symcap import (
     AffineImage,
     Ball,
     Cylinder,
+    DimensionError,
     Ellipsoid,
     SolidTorus,
     SymplecticMatrix,
@@ -27,7 +28,7 @@ from symcap.regions import (
     CapacityValue,
     InconsistentCertificateError,
     UnsupportedCombinationError,
-    _shadow_extent,
+    _extent,
 )
 
 
@@ -128,6 +129,16 @@ def test_map_region_collapses_affine_layers():
     assert np.allclose(twice.shift, S2.entries @ np.arange(4.0) + 1.0)
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
+def test_map_region_rejects_mismatched_dimensions(nested):
+    S = random_symplectic(2, seed=1)
+    region = map_region(Ball(np.zeros(4), 1.0), S) if nested else Ball(np.zeros(4), 1.0)
+    with pytest.raises(DimensionError, match="shift dimension does not match the map"):
+        map_region(region, S, np.zeros(6))
+    with pytest.raises(DimensionError, match="region dimension does not match the map"):
+        map_region(region, random_symplectic(3, seed=1))
+
+
 def test_mapped_ellipsoid_congruent_hessian():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(4, 4))
@@ -212,14 +223,27 @@ def test_inclusion_ball_in_ellipsoid():
     assert not res
     assert np.linalg.norm(res.witness) == pytest.approx(ball.radius, rel=1e-14)  # on the ball
     assert 0.5 * res.witness @ e.hessian @ res.witness > e.level  # outside the ellipsoid
-    with pytest.raises(UnsupportedCombinationError, match="must be centered"):
-        inclusion_check(Ball(np.ones(4), 0.1), e)
+    # an off-center ball reaches |center| + radius along its center
+    assert inclusion_check(Ball(np.full(4, 0.5), 0.1), e)
+    res = inclusion_check(Ball(np.ones(4), 0.1), e)
+    assert not res and res.exact
+    assert np.allclose(res.witness, np.full(4, 1.05), rtol=1e-14)
 
 
 def test_inclusion_unsupported_pair():
-    for outer in (Ball(np.zeros(4), 5.0), Cylinder(2, np.zeros(4), 5.0), SolidTorus((5.0, 5.0))):
+    S = random_symplectic(2, seed=4)
+    zero = np.zeros(4)
+    for outer in (Ball(zero, 5.0), Cylinder(2, zero, 5.0), SolidTorus((5.0, 5.0))):
         with pytest.raises(UnsupportedCombinationError):
-            inclusion_check(Cylinder(1, np.zeros(4), 1.0), outer)
+            inclusion_check(Cylinder(1, zero, 1.0), outer)
+    # a solid torus, or an image of one, has no exact test against a ball or ellipsoid
+    for inner in (SolidTorus((0.1, 0.1)), map_region(SolidTorus((0.1, 0.1)), S)):
+        for outer in (Ball(zero, 5.0), Ellipsoid(zero, np.eye(4), 5.0)):
+            with pytest.raises(UnsupportedCombinationError):
+                inclusion_check(inner, outer)
+    for inner in (Ball(zero, 0.1), Ellipsoid(zero, np.eye(4), 0.1), SolidTorus((0.1, 0.1))):
+        with pytest.raises(UnsupportedCombinationError):
+            inclusion_check(inner, map_region(Ball(zero, 5.0), S))
 
 
 def _preimage_inside(S, shift, base, z, slack=1e-9):
@@ -273,6 +297,11 @@ def test_inclusion_affine_image_exact():
     assert not inclusion_check(mapped, Cylinder(1, np.zeros(4), semi * (1.0 - 1e-9)))
 
 
+def _plane(n, j):
+    """The two rows of plane j, so |_plane(n, j) z| is the shadow distance."""
+    return np.eye(2 * n)[[j - 1, n + j - 1]]
+
+
 def _affine_cases():
     rng = np.random.default_rng(29)
     A = rng.normal(size=(4, 4))
@@ -304,7 +333,7 @@ def _affine_cases():
 @pytest.mark.parametrize("case", range(9))
 def test_affine_image_shadow_extent_matches_dense_reference(case):
     region, S, shift, base, j = _affine_cases()[case]
-    extent, point = _shadow_extent(region, j)
+    extent, point = _extent(region, _plane(base.n, j))
     ref = _dense_shadow_max(S, shift, base, j)
     assert extent >= ref * (1.0 - 1e-12)
     assert extent - ref <= 1e-6 * ref
@@ -392,6 +421,106 @@ def test_solid_torus_verdict_is_all_cylinder_verdicts(n):
     assert cases == 108
 
 
+def _boundary_samples(S, shift, base, count, rng):
+    """`count` random boundary points of S(base) + shift, base a ball or ellipsoid."""
+    n2 = len(shift)
+    u = rng.normal(size=(count, n2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    if isinstance(base, Ball):
+        w = base.radius * u
+    else:  # 1/2 w . H w = level, with H = C C^T
+        C = np.linalg.cholesky(base.hessian)
+        w = math.sqrt(2.0 * base.level) * np.linalg.solve(C.T, u.T).T
+    return (w + base.center) @ S.T + shift
+
+
+def _quadric_outers(n, rng):
+    """(make, D) pairs, a ball and an ellipsoid: make(f) = {z : |D z| <= f}."""
+    A = rng.normal(size=(2 * n, 2 * n))
+    H = A @ A.T + 0.3 * np.eye(2 * n)
+    return [(lambda f: Ball(np.zeros(2 * n), f), np.eye(2 * n)),
+            # 1/2 z . H z <= f^2 with H = C C^T
+            (lambda f: Ellipsoid(np.zeros(2 * n), H, f * f),
+             np.linalg.cholesky(H).T / math.sqrt(2.0))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadric_outer_verdict_matches_dense_reference(n):
+    # each outer sits 20% inside or 25% outside the largest |D z| over 2e5
+    # boundary samples z of inner, and the solved extent is never below a
+    # sample beyond round-off (every sample of a centered ball in a ball attains it)
+    rng = np.random.default_rng(71 + n)
+    cases = 0
+    for inner in _rule_regions(n, rng):
+        S, shift, base = _composed(inner)
+        if isinstance(base, SolidTorus):
+            continue
+        z = _boundary_samples(S, shift, base, 200000, rng)
+        for make, D in _quadric_outers(n, rng):
+            ref = float(np.max(np.linalg.norm(z @ D.T, axis=1)))
+            extent, point = _extent(inner, D)
+            assert extent >= ref * (1.0 - 1e-12) and _preimage_inside(S, shift, base, point)
+            assert np.linalg.norm(D @ point) == pytest.approx(extent, rel=1e-12)
+            for factor in (0.8, 1.25):
+                res = inclusion_check(inner, make(ref * factor))
+                assert res.exact and res.holds == (factor > 1.0)
+                if res:
+                    assert res.witness is None
+                    continue
+                assert _preimage_inside(S, shift, base, res.witness)
+                assert np.linalg.norm(D @ res.witness) > ref * factor
+            cases += 1
+    assert cases == 8 * 2
+
+
+def test_centered_ball_in_equal_ball_is_the_hard_case():
+    R = 1.7
+    assert inclusion_check(Ball(np.zeros(6), R), Ball(np.zeros(6), R))
+    res = inclusion_check(Ball(np.zeros(6), R), Ball(np.zeros(6), R * (1.0 - 1e-9)))
+    assert not res and res.exact
+    assert np.linalg.norm(res.witness) == pytest.approx(R, rel=1e-14)
+
+
+def test_ball_and_ellipsoid_pairs_are_decided():
+    zero = np.zeros(4)
+    # a ball into a ball: B(c, r) fits in B(R) exactly when |c| + r <= R
+    ball = Ball(np.array([3.0, 0.0, 4.0, 0.0]), 1.0)
+    assert inclusion_check(ball, Ball(zero, 6.0))
+    res = inclusion_check(ball, Ball(zero, 5.99))
+    assert not res and np.linalg.norm(res.witness) == pytest.approx(6.0, rel=1e-12)
+    assert np.linalg.norm(res.witness - ball.center) <= 1.0 + 1e-12
+    # an ellipsoid into an ellipsoid of the same level: H_inner >= H_outer
+    H = np.diag([1.0, 2.0, 3.0, 4.0])
+    H2 = H + np.diag([0.0, 0.0, 0.1, 0.0])
+    assert inclusion_check(Ellipsoid(zero, H + 0.1 * np.eye(4), 1.0), Ellipsoid(zero, H, 1.0))
+    res = inclusion_check(Ellipsoid(zero, H, 1.0), Ellipsoid(zero, H2, 1.0))
+    assert not res and 0.5 * res.witness @ H2 @ res.witness > 1.0
+    assert 0.5 * res.witness @ H @ res.witness == pytest.approx(1.0, rel=1e-12)
+    # an image of a ball into an ellipsoid: r^2 lambda_max(S^T H S) / 2 <= level
+    S = random_symplectic(2, seed=9, spread=0.5)
+    r = math.sqrt(2.0 / np.linalg.eigvalsh(S.entries.T @ H @ S.entries)[-1])
+    assert inclusion_check(map_region(Ball(zero, r * (1.0 - 1e-9)), S), Ellipsoid(zero, H, 1.0))
+    res = inclusion_check(map_region(Ball(zero, r * (1.0 + 1e-9)), S), Ellipsoid(zero, H, 1.0))
+    assert not res and 0.5 * res.witness @ H @ res.witness > 1.0
+    # an off-center ball into an ellipsoid: the largest 1/2 z . H z is 0.81 over
+    # B((0, 0.5, 0, 0), 0.4), at (0, 0.9, 0, 0), and 1.125 over B((0, 0, 0, 0.5), 0.25)
+    e = Ellipsoid(zero, H, 1.0)
+    assert inclusion_check(Ball(np.array([0.0, 0.5, 0.0, 0.0]), 0.4), e)
+    res = inclusion_check(Ball(np.array([0.0, 0.0, 0.0, 0.5]), 0.25), e)
+    assert not res and 0.5 * res.witness @ H @ res.witness > 1.0
+    assert np.linalg.norm(res.witness - [0.0, 0.0, 0.0, 0.5]) <= 0.25 * (1.0 + 1e-12)
+
+
+def test_quadric_outers_at_extreme_scales():
+    # no radius is squared, so nothing overflows or underflows (a RuntimeWarning fails)
+    zero = np.zeros(4)
+    assert inclusion_check(Ball(zero, 1e-200), Ellipsoid(zero, 1e-300 * np.eye(4), 1.0))
+    assert not inclusion_check(Ball(zero, 1e200), Ellipsoid(zero, 1e-300 * np.eye(4), 1.0))
+    assert inclusion_check(Ball(np.full(4, 1e160), 1.0), Ball(zero, 1e200))
+    res = inclusion_check(Ball(np.full(4, 1e160), 1e159), Ball(zero, 2e160))
+    assert not res and np.linalg.norm(res.witness / 1e160) == pytest.approx(2.1, rel=1e-12)
+
+
 def test_round_shadow_refines_one_peak(monkeypatch):
     # a solid torus under the identity or a rotation in plane 1 has a round shadow
     calls = []
@@ -408,7 +537,7 @@ def test_round_shadow_refines_one_peak(monkeypatch):
         region = map_region(SolidTorus((1.0, 2.0)), SymplecticMatrix(S))
         for j, R in ((1, 1.0), (2, 2.0)):
             calls.clear()
-            extent, _ = _shadow_extent(region, j)
+            extent, _ = _extent(region, _plane(2, j))
             assert abs(extent - R) <= 1e-15 * R
             assert sum(calls) <= 2000
 
