@@ -28,7 +28,7 @@ from .symcore import (
     positive,
     validate_posdef,
 )
-from .williamson import symplectic_spectrum
+from .williamson import _spectrum
 
 
 class UnsupportedCombinationError(ValueError):
@@ -171,7 +171,7 @@ def capacity(region: PhaseRegion) -> CapacityValue:
     if isinstance(region, SolidTorus):
         return _exact(math.pi * min(r * r for r in region.radii))
     if isinstance(region, Ellipsoid):
-        mu_max = float(symplectic_spectrum(region.hessian).mu[-1])  # numpy would warn on overflow
+        mu_max = float(_spectrum(*region._factors).mu[-1])  # numpy would warn on overflow
         return _exact(2.0 * math.pi * region.level / mu_max)
     if isinstance(region, AffineImage):
         return capacity(region.inner)

@@ -12,6 +12,7 @@ so that sigma(z, z') = (J z) . z' = p . x' - p' . x.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -339,7 +340,8 @@ def random_symplectic(n: int, seed: int, spread: float = 1.0) -> SymplecticMatri
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
     """H(z) = 1/2 z . R z with R symmetric positive definite.  The read-only factors
-    R = U diag(w) U^T of validate_posdef are kept as _factors = (w, U), not a field."""
+    R = U diag(w) U^T of validate_posdef are kept as _factors = (w, U), and the
+    Williamson form built from them on the first flow as _normal_form; neither is a field."""
 
     hessian: np.ndarray = field()
 
@@ -351,6 +353,20 @@ class QuadraticHamiltonian:
     @property
     def n(self) -> int:
         return self.hessian.shape[0] // 2
+
+    @functools.cached_property
+    def _normal_form(self):
+        """Read-only (mu, S, S^{-1}) with S^T R S = diag(mu, mu); S^{-1} = -J S^T J
+        is the block transpose [[D^T, -B^T], [-C^T, A^T]] of S = [[A, B], [C, D]]."""
+        from .williamson import _normal_form
+
+        mu, S = _normal_form(*self._factors)
+        n = self.n
+        S_inv = np.ascontiguousarray(np.block([[S[n:, n:].T, -S[:n, n:].T],
+                                               [-S[n:, :n].T, S[:n, :n].T]]))
+        for a in (mu, S, S_inv):
+            a.setflags(write=False)
+        return mu, S, S_inv
 
     def value(self, z) -> float:
         z = as_phase_point(z)
@@ -371,19 +387,16 @@ def quad_propagator(H: QuadraticHamiltonian, t: float,
                     tol: float = DEFAULT_TOL) -> SymplecticMatrix:
     """Exact flow map exp(t J R) of the quadratic Hamiltonian.
 
-    With the Williamson form S^T R S = diag(mu, mu) it is S rot(t mu) S^{-1}, a
-    rotation by t mu_j in each normal plane, so its round-off does not grow with
-    |t|.  A non-finite angle t mu_j raises a ValidationError naming t.
+    With the Williamson form S^T R S = diag(mu, mu) that H keeps it is S rot(t mu)
+    S^{-1}, a rotation by t mu_j in each normal plane, so its round-off does not grow
+    with |t|.  A non-finite angle t mu_j raises a ValidationError naming t.
     """
-    from .williamson import _normal_form
-
-    mu, S = _normal_form(*H._factors)
+    mu, S, S_inv = H._normal_form
     with np.errstate(over="ignore"):
         theta = float(t) * mu
     if not np.isfinite(theta).all():
         raise ValidationError(f"flow angle t * mu must be finite, got t = {t!r}")
-    J = standard_form_matrix(H.n)
-    return SymplecticMatrix(S @ _plane_rotations(theta) @ (-J @ S.T @ J), tol)
+    return SymplecticMatrix(S @ _plane_rotations(theta) @ S_inv, tol)
 
 
 def flow_energy_drift(H: QuadraticHamiltonian, z0, times) -> float:

@@ -11,12 +11,12 @@ omega_j = mu_j, and the level set 1/2 z . R z <= level is, in normal
 coordinates, the ellipsoid with conjugate-plane radii sqrt(2 * level / mu_j).
 
 R is factorized once, by the eigh in symcore.validate_posdef of the
-symmetrized (R + R^T) / 2 that it judges and returns, and a QuadraticHamiltonian
-keeps those factors; R^{-1/2} is built from them.  One Hermitian
-eigendecomposition (_normal_form) then gives both mu and S, for the
-decomposition and the flow exp(t J R) = S rot(t mu) S^{-1} of
-symcore.quad_propagator alike; the spectrum alone takes only the eigenvalues
-of the same Hermitian matrix.
+symmetrized (R + R^T) / 2 that it judges and returns; a QuadraticHamiltonian or
+an Ellipsoid keeps those factors, and R^{-1/2} is built from them.  One Hermitian
+eigendecomposition (_normal_form) gives both mu and S, and a QuadraticHamiltonian
+keeps (mu, S, S^{-1}) from its first flow exp(t J R) = S rot(t mu) S^{-1}.  The
+spectrum alone, and an Ellipsoid's capacity, take only the eigenvalues of the same
+Hermitian matrix (_spectrum).
 """
 
 from __future__ import annotations
@@ -95,12 +95,16 @@ def _normal_form(w, U):
     return mu, half_inv @ O * np.sqrt(2.0 * np.concatenate([mu, mu]))
 
 
+def _spectrum(w, U) -> SymplecticSpectrum:
+    """symplectic_spectrum of R = U diag(w) U^T, from the factors validate_posdef returns."""
+    mu = -1.0 / np.linalg.eigvalsh(1j * _hermitian_form(w, U)[1])[:len(w) // 2]
+    return SymplecticSpectrum(mu=mu, radii=np.sqrt(2.0 / mu), omega=mu.copy())
+
+
 def symplectic_spectrum(R) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive-definite symmetric matrix: -1/mu_j are the
     n negative eigenvalues of the Hermitian iK of _normal_form, taken without eigenvectors."""
-    _, w, U = validate_posdef(R)
-    mu = -1.0 / np.linalg.eigvalsh(1j * _hermitian_form(w, U)[1])[:len(w) // 2]
-    return SymplecticSpectrum(mu=mu, radii=np.sqrt(2.0 / mu), omega=mu.copy())
+    return _spectrum(*validate_posdef(R)[1:])
 
 
 def williamson_decompose(R) -> WilliamsonDecomposition:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -293,8 +294,9 @@ def _oscillators():
     rng = np.random.default_rng(5)
     for n in range(1, 5):
         for k in range(3):
-            yield f"oscillator n={n} #{k}", oscillator_hamiltonian(10.0 ** rng.uniform(-12, 6, n))
+            yield f"oscillator n={n} #{k}", oscillator_hamiltonian(10.0 ** rng.uniform(-300, 300, n))
     yield "oscillator 1e6, 1e-12", oscillator_hamiltonian([1e6, 1e-12])
+    yield "oscillator 1e300, 1e-300", oscillator_hamiltonian([1e300, 1e-300])
 
 
 EQUIVALENCE_SET = {
@@ -315,7 +317,26 @@ EQUIVALENCE_SET = {
 
 @pytest.mark.parametrize("K", EQUIVALENCE_SET.values(), ids=EQUIVALENCE_SET.keys())
 def test_check_monotone_matches_the_per_sample_loop(K):
-    assert _verdict(ActionHamiltonian.check_monotone, K) == _verdict(reference_check_monotone, K)
+    sampled = _verdict(ActionHamiltonian.check_monotone, K)
+    assert sampled == _verdict(reference_check_monotone, K)
+    assert _verdict(type(K).check_monotone, K) == sampled  # an oscillator's is exact
+
+
+def test_oscillator_bound_calls_k_only_for_the_ground_bound():
+    osc = oscillator_hamiltonian([1.0, 2.5, 1e-3])
+    spec = energy_levels(osc, (2, 2, 2), 3, hbar=0.7)
+    calls = []
+    counted = dataclasses.replace(osc, K=lambda I: calls.append(I.copy()) or osc.K(I))
+    report = verify_energy_bound(counted, spec)
+    assert [I.tolist() for I in calls] == [[0.35, 0.35, 0.35]]
+    assert report == verify_energy_bound(osc, spec) and report.ok
+
+
+def test_differences_of_an_infinite_k_fail_without_a_warning():
+    K = ActionHamiltonian(K=lambda I: 1e308 * float(I[0]) + float(I[1]), n=2, monotone=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert K.check_monotone() is False
 
 
 def test_check_monotone_ignores_a_gradient_error_after_the_first_failure():

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, only
-symcore.positive compares a value with infinity, no np.linalg call takes a
-Hessian (symcore.validate_posdef factorizes each one), and no module imports
+symcore.positive compares a value with infinity, no np.linalg call and no
+spectrum, decomposition or validate_posdef call takes a kept Hessian (the
+constructor's symcore.validate_posdef factorizes each one), and no module imports
 scipy, which the package does not depend on: the lint below covers the
 earlier per-submodule lints on scipy.linalg, scipy.integrate and
 scipy.optimize, which stay.  At run time, importing the CLI loads no scipy
@@ -61,13 +62,38 @@ def test_only_symcore_compares_with_infinity(path):
     assert inf_comparisons(path) == []
 
 
+FACTORIZING = ("symplectic_spectrum", "williamson_decompose", "validate_posdef")
+
+
+def _reads_hessian(node) -> bool:
+    """Whether node reads a .hessian attribute; the CLI's args.hessian is the text
+    of --hessian, not a kept matrix."""
+    return any(isinstance(x, ast.Attribute) and x.attr == "hessian"
+               and ast.unparse(x.value) != "args" for x in ast.walk(node))
+
+
 def hessian_factorizations(path: Path) -> list:
-    """Lines of np.linalg calls that take a .hessian attribute in an argument."""
+    """Lines of np.linalg calls, and of calls of a function in FACTORIZING, that read
+    a .hessian attribute in an argument; a constructor's validate_posdef(self.hessian)
+    is the one check and factorization of the Hessian it keeps."""
     return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Call)
-                  and ast.unparse(node.func).startswith(("np.linalg.", "numpy.linalg."))
-                  and any(isinstance(x, ast.Attribute) and x.attr == "hessian"
-                          for arg in (*node.args, *node.keywords) for x in ast.walk(arg)))
+                  and (ast.unparse(node.func).startswith(("np.linalg.", "numpy.linalg."))
+                       or ast.unparse(node.func).split(".")[-1] in FACTORIZING)
+                  and ast.unparse(node) != "validate_posdef(self.hessian)"
+                  and any(_reads_hessian(arg) for arg in (*node.args, *node.keywords)))
+
+
+def test_hessian_lint_flags_a_second_factorization(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("R = validate_posdef(self.hessian)\n"
+                    "mu = symplectic_spectrum(region.hessian).mu\n"
+                    "dec = williamson.williamson_decompose(2.0 * H.hessian)\n"
+                    "w = validate_posdef(region.hessian)\n"
+                    "w = np.linalg.eigvalsh(H.hessian)\n"
+                    "mu = symplectic_spectrum(R).mu\n"
+                    "spec = williamson.symplectic_spectrum(_hessian(args.hessian))\n")
+    assert hessian_factorizations(path) == [2, 3, 4, 5]
 
 
 # a Hessian is checked and factorized by symcore.validate_posdef, nowhere else

@@ -21,7 +21,14 @@ from symcap import (
     williamson_decompose,
 )
 from symcap.regions import region_to_dict
-from symcap.symcore import QuadraticHamiltonian, standard_form_matrix, validate_posdef
+from symcap.symcore import (
+    QuadraticHamiltonian,
+    _plane_rotations,
+    flow_energy_drift,
+    standard_form_matrix,
+    validate_posdef,
+)
+from symcap.williamson import _normal_form
 
 
 def random_posdef(n2, seed):
@@ -288,11 +295,11 @@ def test_one_factorization_per_call_and_the_same_bits(monkeypatch, n):
     H, region = QuadraticHamiltonian(R), Ellipsoid(np.zeros(2 * n), R, 1.0)
     shifted = Ellipsoid(np.full(2 * n, 0.1), R, 1.0)
     calls = count_factorizations(monkeypatch, 2 * n)
-    # quad_propagator and inclusion_check read the factors kept at construction
+    # quad_propagator, capacity and inclusion_check read the factors kept at construction
     for call, expected in [(lambda: symplectic_spectrum(R), ["eigh"]),
                            (lambda: williamson_decompose(R), ["eigh"]),
                            (lambda: quad_propagator(H, 0.5), []),
-                           (lambda: capacity(region), ["eigh"]),
+                           (lambda: capacity(region), []),
                            (lambda: inclusion_check(Ball(np.zeros(2 * n), 0.5), region), []),
                            (lambda: inclusion_check(shifted, Cylinder(1, np.zeros(2 * n), 9.0)),
                             [])]:
@@ -310,6 +317,41 @@ def test_one_factorization_per_call_and_the_same_bits(monkeypatch, n):
         assert dec.residual == residual
 
 
+def count_complex_eighs(monkeypatch):
+    """The list that numpy.linalg.eigh appends to, from now on, whenever it is called
+    on a complex array (the Hermitian iK of williamson._normal_form)."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("R", [random_posdef(2, 41), random_posdef(4, 42), random_posdef(10, 45),
+                               np.diag([2.0, 0.5, 3.0, 1.0]), 1.5 * np.eye(6),
+                               np.array([[2.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                         [0.3, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 4.0]])],
+                         ids=["n=1", "n=2", "n=5", "diagonal", "scalar", "one-plane-coupling"])
+def test_one_normal_form_per_hamiltonian(monkeypatch, R):
+    H = QuadraticHamiltonian(R)
+    calls = count_complex_eighs(monkeypatch)
+    times = [*np.linspace(-7.0, 7.0, 48), 0.0, 1e17]
+    flows = [quad_propagator(H, t).entries for t in times]
+    assert calls == [R.shape]
+    flow_energy_drift(QuadraticHamiltonian(R), np.ones(len(R)), np.linspace(0.0, 30.0, 101))
+    assert len(calls) == 2
+    # every flow is S rot(t mu) (-J S^T J), S from a fresh normal form; where S has exact
+    # zeros, S^{-1} kept as a block transpose may differ from -J S^T J in the sign of a 0
+    mu, S = _normal_form(*validate_posdef(H.hessian)[1:])
+    J = standard_form_matrix(H.n)
+    for t, flow in zip(times, flows):
+        assert flow.tobytes() == (S @ _plane_rotations(t * mu) @ (-J @ S.T @ J)).tobytes()
+
+
 @pytest.mark.parametrize("build, names", [
     (QuadraticHamiltonian, ["hessian"]),
     (lambda R: Ellipsoid(np.zeros(4), R, 1.0), ["center", "hessian", "level"]),
@@ -325,6 +367,17 @@ def test_kept_factors_are_read_only_and_not_fields(build, names):
         assert kept.tobytes() == fresh.tobytes() and not kept.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         held.hessian[0, 0] = 2.0
+    if isinstance(held, QuadraticHamiltonian):
+        assert "_normal_form" not in vars(held)  # built on the first flow
+        quad_propagator(held, 0.3)
+        mu, S, S_inv = held._normal_form
+        assert "_normal_form" not in repr(held)
+        fresh_mu, fresh_S = _normal_form(*validate_posdef(held.hessian)[1:])
+        J = standard_form_matrix(2)
+        for kept, fresh in zip((mu, S, S_inv), (fresh_mu, fresh_S, -J @ fresh_S.T @ J)):
+            assert np.array_equal(kept, fresh) and not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            S_inv[0, 0] = 2.0
     if isinstance(held, Ellipsoid):
         assert region_to_dict(held) == {"variant": "Ellipsoid", "center": [0.0] * 4,
                                         "hessian": held.hessian.tolist(), "level": 1.0}
