@@ -145,6 +145,7 @@ def check_nonsqueezing(cfg: AcceptanceConfig) -> CheckResult:
 def check_shadow_oracles(cfg: AcceptanceConfig) -> CheckResult:
     n = 2
     R = 1.0
+    j = 1
     shear = np.block([[np.eye(2), np.zeros((2, 2))],
                       [np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)]])
     cases = [(symcore.SymplecticMatrix(shear), True)]
@@ -152,18 +153,17 @@ def check_shadow_oracles(cfg: AcceptanceConfig) -> CheckResult:
               for k in range(20)]
     worst = 0.0
     for k, (S, is_shear) in enumerate(cases):
-        for j in (1,):
-            proj = squeeze.projection_area(S, R, j)
-            inter = squeeze.intersection_area(S, R, j)
-            mc_p = squeeze.mc_projection_area(S, R, j, samples=10**6, seed=cfg.seed + k)
-            mc_i = squeeze.mc_intersection_area(S, R, j, samples=10**6, seed=cfg.seed + k)
-            worst = max(worst, abs(mc_p - proj) / proj, abs(mc_i - inter) / inter)
-            if is_shear:
-                sh_err = max(abs(proj - math.sqrt(2.0) * math.pi * R**2),
-                             abs(inter - math.pi * R**2 / math.sqrt(2.0)))
-                if sh_err > 1e-12:
-                    return CheckResult("shadow_oracles", False,
-                                       f"shear closed form off by {sh_err:.3e}")
+        proj = squeeze.projection_area(S, R, j)
+        inter = squeeze.intersection_area(S, R, j)
+        mc_p = squeeze.mc_projection_area(S, R, j, samples=10**6, seed=cfg.seed + k)
+        mc_i = squeeze.mc_intersection_area(S, R, j, samples=10**6, seed=cfg.seed + k)
+        worst = max(worst, abs(mc_p - proj) / proj, abs(mc_i - inter) / inter)
+        if is_shear:
+            sh_err = max(abs(proj - math.sqrt(2.0) * math.pi * R**2),
+                         abs(inter - math.pi * R**2 / math.sqrt(2.0)))
+            if sh_err > 1e-12:
+                return CheckResult("shadow_oracles", False,
+                                   f"shear closed form off by {sh_err:.3e}")
     ok = worst <= 0.01
     return CheckResult("shadow_oracles", ok, f"max closed-form vs MC deviation {worst:.4f}")
 

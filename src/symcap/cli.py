@@ -133,6 +133,9 @@ def _parse_action_hamiltonian(spec: str, n: int):
             table = json.load(fh)
         grid = np.asarray(table["I"], dtype=float)
         vals = np.asarray(table["K"], dtype=float)
+        if grid.ndim != 1 or grid.shape != vals.shape or not np.all(np.diff(grid) > 0):
+            raise ValueError(f"table {payload}: I must be a strictly increasing list of actions "
+                             f"as long as K, got {grid.size} actions for {vals.size} energies")
         return ebk.ActionHamiltonian(
             K=lambda I: float(np.interp(I[0], grid, vals)), n=1,
             monotone=bool(np.all(np.diff(vals) > 0)))

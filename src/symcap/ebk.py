@@ -13,17 +13,15 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .symcore import DegenerateInputError, ValidationError, positive, write_csv
 
-# Central differences step by h = FD_STEP max(|I_j|, 1), with round-off about eps |K| / h:
-# over 150 000 declared gradients g (frequencies 1e-12..1e6, power sums, n <= 4),
-# |g - difference| - 1e-5 |g| stayed below 0.74 eps |K| / h.
-FD_STEP, FD_ROUNDOFF = 1e-6, 4.0
+FD_STEP = 1e-6  # central differences step by h = FD_STEP max(|I_j|, 1)
 # Relative slack of the capacity condition and the energy bound: pi R^2 and pi hbar round
 # within 3 eps of exact (measured worst gap 2.5 eps over 4e5 levels, hbar 1e-300..1e300)
 ROUNDING_RTOL = 4 * float(np.finfo(float).eps)
@@ -32,7 +30,7 @@ MONOTONE_SAMPLES, MONOTONE_SEED, MONOTONE_BOX = 1000, 0, (1e-3, 10.0)
 
 
 class InvalidMaslovError(ValueError):
-    """A basic-cycle Maslov index is <= 0 (torus radii would collapse)."""
+    """A basic-cycle Maslov index is not an integer >= 1 (radii would collapse at <= 0)."""
 
 
 class TheoremHypothesisError(ValueError):
@@ -47,14 +45,12 @@ class NonCompactOrbitError(ValueError):
 class ActionHamiltonian:
     """An energy function K of the action variables (I_1, ..., I_n).
 
-    ``gradient`` may be omitted; central finite differences are used then.
-    ``monotone`` claims all dK/dI_j > 0 on the positive orthant and can be
-    spot-checked with :meth:`check_monotone`.
+    ``monotone`` claims all dK/dI_j > 0 on the positive orthant; :meth:`check_monotone`
+    spot-checks it (exactly for the linear K of :func:`oscillator_hamiltonian`).
     """
 
     K: Callable
     n: int
-    gradient: Optional[Callable] = None
     monotone: bool = False
 
     def __post_init__(self):
@@ -66,12 +62,6 @@ class ActionHamiltonian:
         if actions.shape != (self.n,):
             raise ValidationError(f"expected {self.n} actions, got shape {actions.shape}")
         return float(self.K(actions))
-
-    def grad(self, actions) -> np.ndarray:
-        actions = np.asarray(actions, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(actions), dtype=float)
-        return self._differences(actions[None])[0]
 
     def _differences(self, I) -> np.ndarray:
         """Central differences of K at every row of I, one K call per perturbed point."""
@@ -86,64 +76,54 @@ class ActionHamiltonian:
             return (K[..., 0] - K[..., 1]) / (2.0 * h)
 
     def check_monotone(self) -> bool:
-        """Spot-check dK/dI > 0 (and gradient vs finite differences) on the orthant.
+        """Spot-check dK/dI > 0 on the orthant; exact for an oscillator's K.
 
-        MONOTONE_SAMPLES actions are drawn uniformly in MONOTONE_BOX, and a
-        sample fails if any component of its gradient is not both > 0 and
-        finite.  A declared gradient that disagrees with the central differences
-        beyond their round-off raises ValidationError if that happens at a sample
-        before the first failing one.  K is evaluated at the 2n difference points
-        of every sample before the verdict, also when an earlier sample fails.
+        MONOTONE_SAMPLES actions are drawn uniformly in MONOTONE_BOX, and the
+        check fails if any central difference at any of them is not both > 0
+        and finite.  K is evaluated at the 2n difference points of every sample.
         """
+        if isinstance(self.K, _Linear):
+            return True  # dK/dI = omega, every omega_j > 0 by construction
         I = np.random.default_rng(MONOTONE_SEED).uniform(*MONOTONE_BOX,
                                                          size=(MONOTONE_SAMPLES, self.n))
-        fd = self._differences(I)
-        if self.gradient is None:
-            g = fd
-        else:
-            g = np.empty_like(I)
-            for k, row in enumerate(I):
-                g[k] = self.grad(row)
+        g = self._differences(I)
         failed = np.flatnonzero(~np.all(np.isfinite(g) & (g > 0), axis=1))
-        first = failed[0] if failed.size else MONOTONE_SAMPLES
-        if self.gradient is not None:
-            excess = np.abs(g[:first] - fd[:first]) - 1e-5 * np.abs(g[:first])
-            for k in np.flatnonzero(np.any(excess > 0, axis=1)):
-                # the round-off bound costs a call of K, so only suspect samples pay it
-                if np.any(excess[k] * FD_STEP * np.maximum(np.abs(I[k]), 1.0)
-                          > FD_ROUNDOFF * np.finfo(float).eps * abs(self.K(I[k]))):
-                    raise ValidationError("declared gradient disagrees with finite differences")
         return not failed.size
 
 
-class _Oscillator(ActionHamiltonian):
-    def check_monotone(self) -> bool:
-        return True  # the gradient is omega, every omega_j > 0 by construction
+class _Linear:
+    """K(I) = omega . I with all 0 < omega_j < inf, so dK/dI = omega > 0 exactly."""
+
+    def __init__(self, omegas):
+        self.omegas = positive("oscillator frequencies", omegas)
+
+    def __call__(self, I) -> float:
+        return float(np.dot(self.omegas, I))
 
 
 def oscillator_hamiltonian(omegas) -> ActionHamiltonian:
-    """K(I) = sum_j omega_j I_j with all 0 < omega_j < inf.  Its gradient omega is
-    > 0, so check_monotone returns True without sampling K (a dataclasses.replace
-    copy keeps that verdict)."""
-    omegas = positive("oscillator frequencies", omegas)
-    return _Oscillator(K=lambda I: float(np.dot(omegas, I)), n=len(omegas),
-                       gradient=lambda I: omegas.copy(), monotone=True)
+    """K(I) = sum_j omega_j I_j with all 0 < omega_j < inf.  check_monotone returns
+    True for this K without sampling it, also in a dataclasses.replace copy that keeps K."""
+    K = _Linear(omegas)
+    return ActionHamiltonian(K=K, n=len(K.omegas), monotone=True)
+
+
+def _maslov_indices(maslov) -> tuple:
+    """maslov as ints if every index is an integer >= 1 (2, 2.0 and np.int64(2) are)."""
+    given = tuple(maslov)
+    if not all(isinstance(m, numbers.Real) and float(m).is_integer() and m >= 1 for m in given):
+        raise InvalidMaslovError(f"basic-cycle Maslov indices must be integers >= 1, got {given}")
+    return tuple(int(m) for m in given)
 
 
 def quantized_actions(maslov, n_max: int, hbar: float = 1.0):
     """All (N, I) pairs with 0 <= N_j <= N_max and I_j = (N_j + m_j/4) hbar."""
-    maslov = tuple(int(m) for m in maslov)
-    if any(m < 1 for m in maslov):
-        raise InvalidMaslovError(f"basic-cycle Maslov indices must be >= 1, got {maslov}")
+    maslov = _maslov_indices(maslov)
     if n_max < 0:
         raise ValidationError(f"need N_max >= 0, got {n_max}")
     positive("hbar", hbar)
-    n = len(maslov)
-    out = []
-    for N in itertools.product(range(n_max + 1), repeat=n):
-        I = np.array([(N[j] + maslov[j] / 4.0) * hbar for j in range(n)])
-        out.append((N, I))
-    return out
+    return [(N, np.array([(N_j + m / 4.0) * hbar for N_j, m in zip(N, maslov)]))
+            for N in itertools.product(range(n_max + 1), repeat=len(maslov))]
 
 
 def torus_radii_from_actions(actions) -> np.ndarray:
@@ -190,7 +170,7 @@ class EBKSpectrum:
 
 def energy_levels(K: ActionHamiltonian, maslov, n_max: int, hbar: float = 1.0) -> EBKSpectrum:
     """Semiclassical spectrum E_N = K((N + m/4) hbar) over the full N grid."""
-    maslov = tuple(int(m) for m in maslov)
+    maslov = _maslov_indices(maslov)
     if len(maslov) != K.n:
         raise ValidationError("Maslov tuple length does not match K")
     entries = []

@@ -127,6 +127,21 @@ def test_ebk_table_hamiltonian(tmp_path, capsys):
     assert energies == pytest.approx([0.5, 1.5])
 
 
+@pytest.mark.parametrize("table", [{"I": [3, 1, 2], "K": [1, 2, 3]},
+                                   {"I": [0, 1, 1], "K": [1, 2, 3]},
+                                   {"I": [0, 1, 2], "K": [1, 2]},
+                                   {"I": [0, 5], "K": [1, 2, 3]},
+                                   {"I": [[0, 5]], "K": [[1, 2]]}],
+                         ids=["unsorted", "repeated", "short-K", "short-I", "nested"])
+def test_ebk_table_refuses_a_bad_action_grid(tmp_path, capsys, table):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code = dispatch(["ebk", "--K", f"table:{path}", "--maslov", "2", "--Nmax", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith(f"error: table {path}: I must be a strictly increasing")
+
+
 def test_ebk_hbar_flag(capsys):
     code, out = run(capsys, "--hbar", "2.0", "ebk", "--K", "oscillator:1",
                     "--maslov", "2", "--Nmax", "0")

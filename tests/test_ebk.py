@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ from symcap import (
 )
 from symcap import ebk, regions
 from symcap.ebk import (
-    FD_ROUNDOFF,
     FD_STEP,
     CapacityCheck,
     EBKLevel,
@@ -53,6 +53,23 @@ def test_quantized_actions_rejects_bad_maslov():
         quantized_actions((0,), 2)
     with pytest.raises(InvalidMaslovError):
         quantized_actions((2, -1), 2)
+
+
+@pytest.mark.parametrize("maslov", [(0.5,), (2.9,), (2, 2.5), (math.nan,), (math.inf,),
+                                    (None,), ("2",), (np.float64(3.25),)])
+def test_non_integral_maslov_indices_are_refused_as_given(maslov):
+    with pytest.raises(InvalidMaslovError, match=re.escape(f"got {maslov}")):
+        quantized_actions(maslov, 0)
+    with pytest.raises(InvalidMaslovError, match=re.escape(f"got {maslov}")):
+        energy_levels(oscillator_hamiltonian([1.0] * len(maslov)), maslov, 1)
+
+
+@pytest.mark.parametrize("m", [2, np.int64(2), 2.0, np.float64(2.0)])
+def test_integral_maslov_indices_are_read_as_ints(m):
+    spec = energy_levels(oscillator_hamiltonian([1.0]), (m,), 1)
+    assert spec.to_dict() == energy_levels(oscillator_hamiltonian([1.0]), (2,), 1).to_dict()
+    assert all(type(e.maslov[0]) is int for e in spec.entries)
+    assert quantized_actions([m], 0)[0][1].tolist() == [0.5]
 
 
 def test_oscillator_levels():
@@ -226,14 +243,8 @@ def test_verify_energy_bound_frequencies_eighteen_decades_apart():
     # the finite differences of |K| ~ 1e7 resolve dK/dI_2 = 1e-12 only to about 1e-3
     K = oscillator_hamiltonian([1e6, 1e-12])
     assert verify_energy_bound(K, energy_levels(K, (2, 2), 0)).ok
-
-
-@pytest.mark.parametrize("declared", [[1e6, 1.0], [1e6 * (1.0 + 1e-4), 1e-12]])
-def test_check_monotone_catches_a_gradient_error_differences_resolve(declared):
-    K = ActionHamiltonian(K=oscillator_hamiltonian([1e6, 1e-12]).K, n=2,
-                          gradient=lambda I: np.array(declared), monotone=True)
-    with pytest.raises(ValidationError, match="declared gradient"):
-        K.check_monotone()
+    # so the same K built by hand is sampled and read as not monotone
+    assert not ActionHamiltonian(K=lambda I: K.K(I), n=2, monotone=True).check_monotone()
 
 
 def reference_fd_grad(K, actions):
@@ -253,41 +264,18 @@ def reference_check_monotone(K, samples=1000, seed=0, box=(1e-3, 10.0)):
     rng = np.random.default_rng(seed)
     lo, hi = box
     for _ in range(samples):
-        I = rng.uniform(lo, hi, size=K.n)
-        g = (np.asarray(K.gradient(I), dtype=float) if K.gradient is not None
-             else reference_fd_grad(K, I))
-        if np.any(g <= 0):
+        g = reference_fd_grad(K, rng.uniform(lo, hi, size=K.n))
+        if not np.all(np.isfinite(g) & (g > 0)):
             return False
-        if K.gradient is not None:
-            excess = np.abs(g - reference_fd_grad(K, I)) - 1e-5 * np.abs(g)
-            if np.any(excess > 0) and np.any(
-                    excess * FD_STEP * np.maximum(np.abs(I), 1.0)
-                    > FD_ROUNDOFF * np.finfo(float).eps * abs(K.K(I))):
-                raise ValidationError("declared gradient disagrees with finite differences")
     return True
 
 
-def _verdict(check, K):
-    try:
-        return check(K)
-    except ValidationError as exc:
-        return str(exc)
-
-
-def _power_sum(a, n, declared):
-    return ActionHamiltonian(K=lambda I: float(np.sum(I**a)), n=n, monotone=True,
-                             gradient=(lambda I: a * I ** (a - 1)) if declared else None)
+def _power_sum(a, n):
+    return ActionHamiltonian(K=lambda I: float(np.sum(I**a)), n=n, monotone=True)
 
 
 def _quartic(I):
     return float(np.sum(I**2) + np.prod(I))
-
-
-def _wrong_after_first_failure():
-    # K = I_1; the declared gradient is 0 below I_1 = 1 and 2 (wrong) from I_1 = 9 on
-    return ActionHamiltonian(K=lambda I: float(I[0]), n=1, monotone=True,
-                             gradient=lambda I: np.array([0.0 if I[0] < 1 else
-                                                          2.0 if I[0] >= 9 else 1.0]))
 
 
 def _oscillators():
@@ -301,35 +289,50 @@ def _oscillators():
 
 EQUIVALENCE_SET = {
     **dict(_oscillators()),
-    **{f"power a={a} n={n} declared={d}": _power_sum(a, n, d)
-       for a in (0.5, 1.0, 2.0, 3.0, -1.0) for n in (1, 3) for d in (False, True)},
+    # "declared=False": ids kept from when a K could also declare its gradient
+    **{f"power a={a} n={n} declared=False": _power_sum(a, n)
+       for a in (0.5, 1.0, 2.0, 3.0, -1.0) for n in (1, 3)},
     "quartic": ActionHamiltonian(K=_quartic, n=3, monotone=True),
     "decreasing": ActionHamiltonian(K=lambda I: float(-I[0]), n=1, monotone=True),
-    **{f"decreasing from 9 declared={d}": ActionHamiltonian(
-        K=lambda I: float(-(I[0] - 9.0) ** 2), n=1,
-        gradient=(lambda I: -2.0 * (I - 9.0)) if d else None) for d in (False, True)},
-    **{f"wrong declared gradient {g}": ActionHamiltonian(
-        K=oscillator_hamiltonian([1e6, 1e-12]).K, n=2, gradient=lambda I, g=g: np.array(g))
-       for g in ([1e6, 1.0], [1e6 * (1.0 + 1e-4), 1e-12])},
-    "wrong after the first failure": _wrong_after_first_failure(),
+    "decreasing from 9 declared=False": ActionHamiltonian(
+        K=lambda I: float(-(I[0] - 9.0) ** 2), n=1),
 }
 
 
 @pytest.mark.parametrize("K", EQUIVALENCE_SET.values(), ids=EQUIVALENCE_SET.keys())
 def test_check_monotone_matches_the_per_sample_loop(K):
-    sampled = _verdict(ActionHamiltonian.check_monotone, K)
-    assert sampled == _verdict(reference_check_monotone, K)
-    assert _verdict(type(K).check_monotone, K) == sampled  # an oscillator's is exact
+    if isinstance(K.K, ebk._Linear):
+        assert K.check_monotone() is True  # exact, without sampling K
+    else:
+        assert K.check_monotone() == reference_check_monotone(K)
 
 
-def test_oscillator_bound_calls_k_only_for_the_ground_bound():
+def test_oscillator_bound_calls_k_only_for_the_ground_bound(monkeypatch):
     osc = oscillator_hamiltonian([1.0, 2.5, 1e-3])
     spec = energy_levels(osc, (2, 2, 2), 3, hbar=0.7)
-    calls = []
-    counted = dataclasses.replace(osc, K=lambda I: calls.append(I.copy()) or osc.K(I))
-    report = verify_energy_bound(counted, spec)
+    expected = verify_energy_bound(osc, spec)
+    calls, call = [], ebk._Linear.__call__
+    monkeypatch.setattr(ebk._Linear, "__call__",
+                        lambda self, I: calls.append(I.copy()) or call(self, I))
+    report = verify_energy_bound(osc, spec)
     assert [I.tolist() for I in calls] == [[0.35, 0.35, 0.35]]
-    assert report == verify_energy_bound(osc, spec) and report.ok
+    assert report == expected and report.ok
+
+
+def test_a_replaced_k_carries_its_own_monotonicity_verdict(monkeypatch):
+    osc = oscillator_hamiltonian([1.0])
+    decreasing = dataclasses.replace(osc, K=lambda I: -float(I[0]))
+    assert decreasing.check_monotone() is False
+    with pytest.raises(TheoremHypothesisError, match="spot check"):
+        verify_energy_bound(decreasing, energy_levels(osc, (2,), 1))
+
+    def no_sampling(self, I):
+        raise AssertionError("an oscillator's K was sampled")
+
+    monkeypatch.setattr(ActionHamiltonian, "_differences", no_sampling)
+    other = dataclasses.replace(osc, K=oscillator_hamiltonian([3.0]).K)
+    assert other.check_monotone() is True
+    assert verify_energy_bound(other, energy_levels(other, (2,), 1)).ok
 
 
 def test_differences_of_an_infinite_k_fail_without_a_warning():
@@ -339,37 +342,33 @@ def test_differences_of_an_infinite_k_fail_without_a_warning():
         assert K.check_monotone() is False
 
 
-def test_check_monotone_ignores_a_gradient_error_after_the_first_failure():
-    I = np.random.default_rng(0).uniform(1e-3, 10.0, 1000)
-    assert np.argmax(I < 1) < np.argmax(I >= 9)  # a non-positive sample comes first
-    assert _wrong_after_first_failure().check_monotone() is False
-
-
 def test_check_monotone_draws_the_per_sample_actions():
     rng = np.random.default_rng(0)
     per_sample = np.array([rng.uniform(1e-3, 10.0, size=3) for _ in range(1000)])
     seen = []
-    K = ActionHamiltonian(K=lambda I: float(np.sum(I)), n=3,
-                          gradient=lambda I: seen.append(I.copy()) or np.ones(3))
+    K = ActionHamiltonian(K=lambda I: seen.append(I.copy()) or float(np.sum(I)), n=3)
     assert K.check_monotone()
-    assert np.array_equal(np.array(seen), per_sample)
+    pts = np.array(seen).reshape(1000, 3, 2, 3)  # sample, stepped coordinate, +h or -h, I
+    j = np.arange(3)
+    assert np.array_equal(pts[:, (j + 1) % 3, 0, j], per_sample)  # I_j where I_{j+1} steps
+    h = FD_STEP * np.maximum(per_sample, 1.0)
+    assert np.array_equal(pts[:, j, 0, j], per_sample + h)
+    assert np.array_equal(pts[:, j, 1, j], per_sample - h)
 
 
 def test_grad_is_bit_identical_to_the_per_coordinate_differences():
-    Ks = [_power_sum(2.0, 3, False), _power_sum(0.5, 2, False), ActionHamiltonian(K=_quartic, n=3),
+    Ks = [_power_sum(2.0, 3), _power_sum(0.5, 2), ActionHamiltonian(K=_quartic, n=3),
           ActionHamiltonian(K=lambda I: float(math.exp(I[0]) * I[1]), n=2)]
     rng = np.random.default_rng(9)
     for k in range(10_000):  # random actions over eight decades
         K = Ks[k % len(Ks)]
         I = 10.0 ** rng.uniform(-6, 2, K.n)
-        assert np.array_equal(K.grad(I), reference_fd_grad(K, I))
+        assert np.array_equal(K._differences(I[None])[0], reference_fd_grad(K, I))
 
 
-@pytest.mark.parametrize("gradient", [None, lambda I: np.array([np.nan]),
-                                      lambda I: np.array([np.inf])],
-                         ids=["nan-differences", "nan-declared", "inf-declared"])
-def test_non_finite_gradient_fails_the_spot_check(gradient):
-    K = ActionHamiltonian(K=lambda I: math.nan, n=1, gradient=gradient, monotone=True)
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan-differences", "inf-differences"])
+def test_non_finite_gradient_fails_the_spot_check(value):
+    K = ActionHamiltonian(K=lambda I: value, n=1, monotone=True)
     assert K.check_monotone() is False
     spec = energy_levels(oscillator_hamiltonian([1.0]), (2,), 1)
     with pytest.raises(TheoremHypothesisError, match="spot check"):
