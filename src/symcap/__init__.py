@@ -2,7 +2,8 @@
 
 ``import symcap`` loads no submodule: each name of ``__all__`` and each home
 module below is imported on first access (PEP 562), so a one-shot CLI call
-pays only for the modules it uses.
+pays only for the modules it uses.  An exported name is read from its home
+module on every access and never stored here, so it follows any rebinding there.
 """
 
 import importlib
@@ -36,8 +37,7 @@ def __getattr__(name):
         return importlib.import_module("." + name, __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(__getattr__(_HOME[name]), name)
-    return value
+    return getattr(importlib.import_module("." + _HOME[name], __name__), name)
 
 
 def __dir__():

@@ -14,12 +14,13 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .symcore import DegenerateInputError, ValidationError, positive, write_csv
+from .symcore import DegenerateInputError, ValidationError, _bisect, positive, write_csv
 
 FD_STEP = 1e-6  # central differences step by h = FD_STEP max(|I_j|, 1)
 # Relative slack of the capacity condition and the energy bound: pi R^2 and pi hbar round
@@ -109,9 +110,11 @@ def oscillator_hamiltonian(omegas) -> ActionHamiltonian:
 
 
 def _maslov_indices(maslov) -> tuple:
-    """maslov as ints if every index is an integer >= 1 (2, 2.0 and np.int64(2) are)."""
+    """maslov as ints if every index is an integer >= 1 that a float holds (2, 2.0 and
+    np.int64(2) are; 10**400 is not)."""
     given = tuple(maslov)
-    if not all(isinstance(m, numbers.Real) and float(m).is_integer() and m >= 1 for m in given):
+    if not all(isinstance(m, numbers.Real) and 1 <= m <= sys.float_info.max
+               and float(m).is_integer() for m in given):
         raise InvalidMaslovError(f"basic-cycle Maslov indices must be integers >= 1, got {given}")
     return tuple(int(m) for m in given)
 
@@ -257,46 +260,22 @@ def _sine_rule(order: int):
     return np.sin(theta), 0.5 * math.pi * w * np.cos(theta)
 
 
-def _bisect(V, energy, inside, outside):
-    """The turning point between V(inside) <= E < V(outside), to the last float inside."""
-    while True:
-        mid = 0.5 * (inside + outside)
-        if mid in (inside, outside):
-            return inside
-        if V(mid) > energy:
-            outside = mid
-        else:
-            inside = mid
-
-
 def _bracket_turning_points(V, energy):
     x0 = 0.0
-    if V(x0) > energy:
-        # walk toward lower potential to find a classically allowed point
-        for step in 2.0 ** np.arange(-6, 21):
-            for cand in (x0 - step, x0 + step):
-                if V(cand) <= energy:
-                    x0 = cand
-                    break
-            else:
-                continue
-            break
-        else:
-            raise NonCompactOrbitError("energy level set appears empty")
-
-    def expand(direction):
-        step = 1e-3
+    if V(x0) > energy:  # start from the first probe with V <= E instead
+        x0 = next((x for s in 2.0 ** np.arange(-6, 21) for x in (-s, s) if V(x) <= energy), None)
+        if x0 is None:
+            raise NonCompactOrbitError(f"energy level set appears empty: V(x) > E = {energy!r} "
+                                       "at x = 0 and at x = -2^k, 2^k for k = -6, ..., 20")
+    ends = []
+    for step in (-1e-3, 1e-3):  # walk out in doubling steps, then bisect the last one
         x = x0
-        while True:
-            nxt = x + direction * step
-            if abs(nxt) > POSITION_CAP:
-                raise NonCompactOrbitError("no turning point found: orbit not compact")
-            if V(nxt) > energy:
-                return _bisect(V, energy, x, nxt)
-            x = nxt
-            step *= 2.0
-
-    return expand(-1.0), expand(+1.0)
+        while abs(nxt := x + step) <= POSITION_CAP and not V(nxt) > energy:
+            x, step = nxt, 2.0 * step
+        if abs(nxt) > POSITION_CAP:
+            raise NonCompactOrbitError("no turning point found: orbit not compact")
+        ends.append(_bisect(V, energy, x, nxt))
+    return ends
 
 
 def _widths(hamiltonian, x, energy):
@@ -345,7 +324,8 @@ def action_quadrature_1d(hamiltonian: Callable, energy: float) -> float:
     Assumes a kinetic-plus-potential profile: H is even-increasing in |p| at
     fixed x, with V(x) = H(x, 0).  H is called elementwise on numpy arrays x
     and p of one shape (and on floats for V).  The turning points are found by
-    bisection and the momentum branch p+(x) = -p-(x) >= 0 by false position
+    bisection from x = 0, else from the first of x = -2^k, 2^k (k = -6, ..., 20)
+    where V <= E, and the momentum branch p+(x) = -p-(x) >= 0 by false position
     in q = p+^2, where a kinetic energy p^2 / 2m makes H linear (see _widths);
     the width 2 p+ is integrated by Gauss-Legendre rules after a sine substitution
     that absorbs the square-root endpoints.  The order doubles from 16 until

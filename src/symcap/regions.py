@@ -23,6 +23,7 @@ from .symcore import (
     DimensionError,
     SymplecticMatrix,
     ValidationError,
+    _bisect,
     as_phase_point,
     plane_indices,
     positive,
@@ -282,10 +283,8 @@ def _farthest(K, a):
     beta, gap = s / s[0] * (Y.T @ a) / s[0], 1.0 - (s / s[0]) ** 2
     v = np.divide(beta, gap, out=np.zeros_like(beta), where=gap > 0.0)
     if np.any(beta[gap == 0.0]) or math.hypot(*v) > 1.0:  # hypot neither overflows nor warns
-        lo, hi = 0.0, math.hypot(*beta)
-        while lo < (t := 0.5 * (lo + hi)) < hi:
-            lo, hi = (t, hi) if np.sum((beta / (t + gap)) ** 2) > 1.0 else (lo, t)
-        v = beta / (hi + gap)
+        t = _bisect(lambda t: np.sum((beta / (t + gap)) ** 2), 1.0, math.hypot(*beta), 0.0)
+        v = beta / (t + gap)
     else:
         v[0] = math.sqrt(max(0.0, 1.0 - v @ v))  # |v| <= 1 up to round-off
     u = Zt.T @ v

@@ -8,8 +8,8 @@ pi R^2 / sqrt(det(P M^{-1} P^T)).  Linear non-squeezing says the projection
 area is never below pi R^2.
 
 Neither M nor its inverse is formed: sqrt(det(P M P^T)) = |r_11 r_22| for the
-QR factor r of the two plane rows of S, and M^{-1} = S^{-T} S^{-1} with
-S^{-T} = J S J^T exact on Sp(n), so the slice uses the plane rows of J S J^T.
+QR factor r of the two plane rows of S, and M^{-1} = S^{-T} S^{-1} with S^{-1}
+the exact block transpose symcore._inverse, so the slice uses its plane columns.
 
 The slice area is <= pi R^2 (with equality when the preimage plane is
 invariant under the standard rotation J); only that inequality is asserted
@@ -36,10 +36,10 @@ from .symcore import (
     DegenerateInputError,
     SymplecticMatrix,
     ValidationError,
+    _inverse,
     plane_indices,
     positive,
     random_symplectic_stack,
-    standard_form_matrix,
 )
 
 # The QR round-off of the shadow areas grows like eps cond(S); this tolerance
@@ -69,7 +69,6 @@ def _shadow_areas(S: np.ndarray, R: float, planes):
     R = positive("ball radius", R)
     n = S.shape[-1] // 2
     idx = np.array([plane_indices(n, j) for j in planes])  # (k, 2)
-    J = standard_form_matrix(n)
 
     def gram_root(A):  # sqrt(det(A_p A_p^T)) for the plane rows A_p of every map and plane
         r = np.linalg.qr(np.swapaxes(A[:, idx], 2, 3), mode="r")
@@ -77,7 +76,7 @@ def _shadow_areas(S: np.ndarray, R: float, planes):
 
     disk = math.pi * (R * R)
     with np.errstate(over="ignore"):
-        proj, inter = disk * gram_root(S), disk / gram_root(J @ S @ J.T)
+        proj, inter = disk * gram_root(S), disk / gram_root(np.swapaxes(_inverse(S), 1, 2))
     return _area_in_range(proj, R), _area_in_range(inter, R)
 
 
@@ -235,7 +234,7 @@ def mc_intersection_area(S: SymplecticMatrix, R: float, j: int,
         raise ValidationError(f"need samples >= 1, got {samples}")
     R = positive("ball radius", R)
     rng = np.random.default_rng(seed)
-    cols = S.inverse().entries[:, plane_indices(S.n, j)]  # a plane point w has preimage cols @ w
+    cols = _inverse(S.entries)[:, plane_indices(S.n, j)]  # a plane point w has preimage cols @ w
     G = cols.T @ cols
     half = np.sqrt(np.diag(np.linalg.inv(G)))
     buf, hits = np.empty(2 * min(MC_BLOCK, samples)), 0

@@ -132,6 +132,29 @@ def symplectic_form(z, zp) -> float:
     return float(z[n:] @ zp[:n] - zp[n:] @ z[:n])
 
 
+def _inverse(S: np.ndarray) -> np.ndarray:
+    """S^{-1} = -J S^T J of each S = [[A, B], [C, D]] of a stack (..., 2n, 2n) in Sp(n),
+    exactly: the block transpose [[D^T, -B^T], [-C^T, A^T]], each zero +0.0 as in J's product."""
+    n = S.shape[-1] // 2
+    T = np.swapaxes(S, -1, -2)
+    inv = np.empty(S.shape)
+    inv[..., :n, :n], inv[..., :n, n:] = T[..., n:, n:], -T[..., n:, :n]
+    inv[..., n:, :n], inv[..., n:, n:] = -T[..., :n, n:], T[..., :n, :n]
+    inv += 0.0  # -0.0 + 0.0 is +0.0
+    return inv
+
+
+def _bisect(f, level, inside, outside):
+    """The last float from inside toward outside with f <= level (NaN counts), for f(inside)
+    <= level < f(outside): the bracket is halved until its ends are adjacent floats."""
+    while inside < (mid := 0.5 * (inside + outside)) < outside or outside < mid < inside:
+        if f(mid) > level:
+            outside = mid
+        else:
+            inside = mid
+    return inside
+
+
 class SymplecticCheck(NamedTuple):
     ok: bool
     residual: float
@@ -218,9 +241,7 @@ class SymplecticMatrix:
         return self.entries @ z
 
     def inverse(self) -> "SymplecticMatrix":
-        # S^{-1} = -J S^T J, exact for group elements
-        J = standard_form_matrix(self.n)
-        return SymplecticMatrix(-J @ self.entries.T @ J, self.tol)
+        return SymplecticMatrix(_inverse(self.entries), self.tol)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "rows": self.entries.tolist()}
@@ -356,14 +377,11 @@ class QuadraticHamiltonian:
 
     @functools.cached_property
     def _normal_form(self):
-        """Read-only (mu, S, S^{-1}) with S^T R S = diag(mu, mu); S^{-1} = -J S^T J
-        is the block transpose [[D^T, -B^T], [-C^T, A^T]] of S = [[A, B], [C, D]]."""
+        """Read-only (mu, S, S^{-1}) with S^T R S = diag(mu, mu)."""
         from .williamson import _normal_form
 
         mu, S = _normal_form(*self._factors)
-        n = self.n
-        S_inv = np.ascontiguousarray(np.block([[S[n:, n:].T, -S[:n, n:].T],
-                                               [-S[n:, :n].T, S[:n, :n].T]]))
+        S_inv = _inverse(S)
         for a in (mu, S, S_inv):
             a.setflags(write=False)
         return mu, S, S_inv

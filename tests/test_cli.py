@@ -266,6 +266,14 @@ def test_malformed_comma_list_is_input_error(capsys, argv, flag):
     assert err.startswith("error:") and flag in err
 
 
+def test_ebk_maslov_beyond_the_float_range_is_input_error(capsys):
+    m = "1" + "0" * 400
+    code = dispatch(["ebk", "--K", "oscillator:1", "--maslov", m, "--Nmax", "1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: basic-cycle Maslov indices must be integers >= 1, got ({m},)\n")
+
+
 def test_ebk_csv_writes_plain_floats(capsys):
     code, out = run(capsys, "--format", "csv", "ebk", "--K", "oscillator:1,2",
                     "--maslov", "2,2", "--Nmax", "0")

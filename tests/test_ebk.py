@@ -56,7 +56,9 @@ def test_quantized_actions_rejects_bad_maslov():
 
 
 @pytest.mark.parametrize("maslov", [(0.5,), (2.9,), (2, 2.5), (math.nan,), (math.inf,),
-                                    (None,), ("2",), (np.float64(3.25),)])
+                                    (None,), ("2",), (np.float64(3.25),),
+                                    # integers no float holds
+                                    (10**400,), (2, -10**400), (np.int64(2), 10**309)])
 def test_non_integral_maslov_indices_are_refused_as_given(maslov):
     with pytest.raises(InvalidMaslovError, match=re.escape(f"got {maslov}")):
         quantized_actions(maslov, 0)
@@ -555,6 +557,75 @@ def test_action_quadrature_quartic_vs_reference():
     vals = np.sqrt(np.maximum(2.0 * (E - V(xs)), 0.0)) * x_hi * np.cos(theta)
     ref = float(np.dot(weights, vals)) * 0.5 * math.pi / math.pi
     assert action_quadrature_1d(H, E) == pytest.approx(ref, rel=1e-6)
+
+
+SHIFTED = lambda x, p: 0.5 * p**2 + 0.5 * (x - 3.0) ** 2  # level set [3 - sqrt(2E), 3 + sqrt(2E)]
+
+
+def _reference_turning_points(V, energy):
+    """A reference search written out longhand: a for/else walk over the probes, an
+    expand closure per side and a bisection loop of its own."""
+    def bisect(inside, outside):
+        while True:
+            mid = 0.5 * (inside + outside)
+            if mid in (inside, outside):
+                return inside
+            if V(mid) > energy:
+                outside = mid
+            else:
+                inside = mid
+
+    x0 = 0.0
+    if V(x0) > energy:
+        for step in 2.0 ** np.arange(-6, 21):
+            for cand in (x0 - step, x0 + step):
+                if V(cand) <= energy:
+                    x0 = cand
+                    break
+            else:
+                continue
+            break
+        else:
+            raise NonCompactOrbitError("energy level set appears empty")
+
+    def expand(direction):
+        step, x = 1e-3, x0
+        while True:
+            nxt = x + direction * step
+            if abs(nxt) > ebk.POSITION_CAP:
+                raise NonCompactOrbitError("no turning point found: orbit not compact")
+            if V(nxt) > energy:
+                return bisect(x, nxt)
+            x, step = nxt, 2.0 * step
+
+    return expand(-1.0), expand(+1.0)
+
+
+@pytest.mark.parametrize("H", [*WELLS.values(), SHIFTED], ids=[*WELLS, "shifted"])
+@pytest.mark.parametrize("E", [0.05, 0.5, 1.0, 3.5])
+def test_turning_points_match_the_reference_search(H, E):
+    V = lambda x: H(x, 0.0)
+    try:
+        expected = _reference_turning_points(V, E)
+    except NonCompactOrbitError:
+        with pytest.raises(NonCompactOrbitError):
+            ebk._bracket_turning_points(V, E)
+        return
+    bits = lambda ends: [(type(x), float(x).hex()) for x in ends]  # np.float64 from a probe
+    assert bits(ebk._bracket_turning_points(V, E)) == bits(expected)
+
+
+def test_turning_point_search_finds_a_well_at_a_probe():
+    # V(0) = 4.5 > E = 2, so the search starts from the first probe with V <= E, x = 2
+    assert SHIFTED(0.0, 0.0) > 2.0 >= SHIFTED(2.0, 0.0)
+    assert action_quadrature_1d(SHIFTED, 2.0) == pytest.approx(2.0, rel=1e-8)
+
+
+def test_turning_point_search_names_its_probes():
+    # the level set [2.106, 3.894] holds no probe: 2 and 4 lie just outside it
+    with pytest.raises(NonCompactOrbitError, match=re.escape(
+            "V(x) > E = 0.4 at x = 0 and at x = -2^k, 2^k for k = -6, ..., 20")):
+        action_quadrature_1d(SHIFTED, 0.4)
 
 
 def test_action_quadrature_empty_level_set():

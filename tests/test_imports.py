@@ -10,7 +10,8 @@ action-quadrature check loads neither scipy.integrate nor scipy.optimize,
 and the Monte Carlo hull loads no scipy module at all.  ``import symcap``
 loads no submodule, yet every exported name resolves to its home module's
 object, and each CLI subcommand loads only the symcap modules it uses.  The
-benchmark's tracer installs over every symcap module and uninstalls cleanly."""
+benchmark's tracer installs over every symcap module and uninstalls cleanly,
+leaving no wrapper behind in the package."""
 
 import ast
 import os
@@ -265,3 +266,18 @@ print(sorted({{span[2] for span in tracer.spans}}))
     assert _run(code).splitlines()[-1] == str(sorted([
         "ebk.energy_levels", "ebk.capacity_condition", "regions.capacity",
         "maslov.torus_cycle_loop", "maslov.maslov_index"]))
+
+
+def test_an_export_read_under_the_tracer_is_the_home_object_after_uninstall():
+    # the package stores no name it resolves, so uninstall leaves no wrapper behind
+    code = f"""import sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+from tracing import Tracer
+import symcap, symcap.regions
+tracer = Tracer()
+tracer.install()
+traced = symcap.capacity
+tracer.uninstall()
+print(traced is not symcap.regions.capacity, symcap.capacity is symcap.regions.capacity)
+"""
+    assert _run(code).split() == ["True", "True"]

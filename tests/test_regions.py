@@ -104,6 +104,18 @@ def test_scale_ball():
     assert capacity(b).value == pytest.approx(4.0 * math.pi)
 
 
+def test_scale_affine_image_keeps_the_map():
+    S, shift = random_symplectic(2, seed=7), np.array([0.3, -0.2, 0.1, 0.5])
+    image = map_region(Ellipsoid(np.zeros(4), np.diag([1.0, 2.0, 3.0, 0.5]), 1.5), S, shift)
+    for lam in (2.5, -0.4):
+        scaled = scale_region(image, lam)
+        assert isinstance(scaled, AffineImage) and scaled.map is image.map
+        assert scaled.shift.tolist() == (lam * shift).tolist()
+        assert regions.region_to_dict(scaled.inner) == regions.region_to_dict(
+            scale_region(image.inner, lam))
+        assert capacity(scaled).value == pytest.approx(lam**2 * capacity(image).value, rel=1e-14)
+
+
 def test_map_region_invariance():
     S = random_symplectic(2, seed=5)
     mapped = map_region(Ball(np.zeros(4), 1.0), S)

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -24,6 +25,8 @@ from symcap import (
 )
 from symcap.symcore import (
     DEFAULT_TOL,
+    _bisect,
+    _inverse,
     _plane_rotations,
     _symplectic_verdicts,
     expm,
@@ -350,3 +353,36 @@ def test_flow_matches_ode_oracle():
         z_exact = quad_propagator(H, t).transform(z0)
         assert np.max(np.abs(z_exact - z_ode)) <= 1e-8 * max(1.0, np.max(np.abs(z_ode)))
     assert flow_energy_drift(H, z0, times) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("spread", [0.3, 1.0, 3.0])
+def test_inverse_is_the_bits_of_minus_j_s_transpose_j(n, spread):
+    S = random_symplectic_stack(n, range(300), spread)
+    J = standard_form_matrix(n)
+    assert _inverse(S).tobytes() == np.array([-J @ s.T @ J for s in S]).tobytes()
+
+
+def test_inverse_writes_each_zero_as_the_matrix_product_does():
+    # -J S^T J sums exact zeros into +0.0, also where S holds -0.0
+    C = np.array([[1.0, 0.3], [0.3, -0.0]])
+    shear = np.block([[np.eye(2), np.zeros((2, 2))], [C, np.eye(2)]])
+    for S in (np.eye(2), -np.eye(2), np.eye(6), shear, np.diag([2.0, -0.5, 0.5, -2.0])):
+        J = standard_form_matrix(len(S) // 2)
+        assert _inverse(S).tobytes() == (-J @ S.T @ J).tobytes()
+        assert _inverse(S[None]).tobytes() == _inverse(S).tobytes()
+        assert "-0.0" not in SymplecticMatrix(S).inverse().to_json()
+
+
+@pytest.mark.parametrize("f, level, inside, outside, expected", [
+    (lambda x: x * x, 2.0, 0.0, 2.0, 1.414213562373095),  # sqrt(2) squares to 2 + 2^-51
+    (lambda x: x * x, 2.0, 0.0, -2.0, -1.414213562373095),  # the bracket may point down
+    (lambda x: -x, -0.5, 3.0, 0.0, 0.5),  # a decreasing f, inside above outside
+    (lambda x: math.nan, 0.0, 0.0, 1.0, 1.0 - 2.0**-53),  # a NaN counts as <= level
+    (lambda x: x, 0.0, 0.0, math.inf, 0.0),  # no midpoint between 0 and inf
+])
+def test_bisect_stops_at_adjacent_floats(f, level, inside, outside, expected):
+    x = _bisect(f, level, inside, outside)
+    assert x == expected
+    if math.isfinite(f(outside)):
+        assert f(math.nextafter(x, outside)) > level

@@ -344,8 +344,7 @@ def test_one_normal_form_per_hamiltonian(monkeypatch, R):
     assert calls == [R.shape]
     flow_energy_drift(QuadraticHamiltonian(R), np.ones(len(R)), np.linspace(0.0, 30.0, 101))
     assert len(calls) == 2
-    # every flow is S rot(t mu) (-J S^T J), S from a fresh normal form; where S has exact
-    # zeros, S^{-1} kept as a block transpose may differ from -J S^T J in the sign of a 0
+    # every flow is S rot(t mu) (-J S^T J), S from a fresh normal form
     mu, S = _normal_form(*validate_posdef(H.hessian)[1:])
     J = standard_form_matrix(H.n)
     for t, flow in zip(times, flows):
