@@ -47,7 +47,9 @@ class ActionHamiltonian:
     """An energy function K of the action variables (I_1, ..., I_n).
 
     ``monotone`` claims all dK/dI_j > 0 on the positive orthant; :meth:`check_monotone`
-    spot-checks it (exactly for the linear K of :func:`oscillator_hamiltonian`).
+    spot-checks it (exactly for the linear K of :func:`oscillator_hamiltonian`) on its
+    first call and keeps the verdict for the life of the instance, also past a later
+    change to MONOTONE_*.  K must be a pure function of I, as energy_levels assumes.
     """
 
     K: Callable
@@ -82,7 +84,15 @@ class ActionHamiltonian:
         MONOTONE_SAMPLES actions are drawn uniformly in MONOTONE_BOX, and the
         check fails if any central difference at any of them is not both > 0
         and finite.  K is evaluated at the 2n difference points of every sample.
+        The verdict is decided on the first call and kept for the life of the
+        instance: later calls do not evaluate K (which must be a pure function of
+        I), and a later change to MONOTONE_* does not re-decide it.  A
+        dataclasses.replace copy decides afresh; a K that raises keeps nothing.
         """
+        return self._monotone_verdict
+
+    @functools.cached_property
+    def _monotone_verdict(self) -> bool:
         if isinstance(self.K, _Linear):
             return True  # dK/dI = omega, every omega_j > 0 by construction
         I = np.random.default_rng(MONOTONE_SEED).uniform(*MONOTONE_BOX,

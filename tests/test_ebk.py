@@ -280,6 +280,10 @@ def _quartic(I):
     return float(np.sum(I**2) + np.prod(I))
 
 
+def _nan_above_five(I):
+    return math.nan if I[0] > 5.0 else float(np.sum(I))
+
+
 def _oscillators():
     rng = np.random.default_rng(5)
     for n in range(1, 5):
@@ -298,6 +302,7 @@ EQUIVALENCE_SET = {
     "decreasing": ActionHamiltonian(K=lambda I: float(-I[0]), n=1, monotone=True),
     "decreasing from 9 declared=False": ActionHamiltonian(
         K=lambda I: float(-(I[0] - 9.0) ** 2), n=1),
+    "nan on part of the box": ActionHamiltonian(K=_nan_above_five, n=2, monotone=True),
 }
 
 
@@ -306,19 +311,21 @@ def test_check_monotone_matches_the_per_sample_loop(K):
     if isinstance(K.K, ebk._Linear):
         assert K.check_monotone() is True  # exact, without sampling K
     else:
-        assert K.check_monotone() == reference_check_monotone(K)
+        expected = reference_check_monotone(K)
+        assert K.check_monotone() is expected
+        assert K.check_monotone() is expected  # the kept verdict
 
 
 def test_oscillator_bound_calls_k_only_for_the_ground_bound(monkeypatch):
-    osc = oscillator_hamiltonian([1.0, 2.5, 1e-3])
-    spec = energy_levels(osc, (2, 2, 2), 3, hbar=0.7)
-    expected = verify_energy_bound(osc, spec)
+    spec = energy_levels(oscillator_hamiltonian([1.0, 2.5, 1e-3]), (2, 2, 2), 3, hbar=0.7)
+    expected = verify_energy_bound(oscillator_hamiltonian([1.0, 2.5, 1e-3]), spec)
     calls, call = [], ebk._Linear.__call__
     monkeypatch.setattr(ebk._Linear, "__call__",
                         lambda self, I: calls.append(I.copy()) or call(self, I))
-    report = verify_energy_bound(osc, spec)
-    assert [I.tolist() for I in calls] == [[0.35, 0.35, 0.35]]
-    assert report == expected and report.ok
+    osc = oscillator_hamiltonian([1.0, 2.5, 1e-3])  # its first check runs under the counter
+    reports = [verify_energy_bound(osc, spec) for _ in range(2)]
+    assert [I.tolist() for I in calls] == [[0.35, 0.35, 0.35]] * 2
+    assert reports == [expected] * 2 and expected.ok
 
 
 def test_a_replaced_k_carries_its_own_monotonicity_verdict(monkeypatch):
@@ -356,6 +363,58 @@ def test_check_monotone_draws_the_per_sample_actions():
     h = FD_STEP * np.maximum(per_sample, 1.0)
     assert np.array_equal(pts[:, j, 0, j], per_sample + h)
     assert np.array_equal(pts[:, j, 1, j], per_sample - h)
+
+
+class _Counted:
+    """A K that counts its calls."""
+
+    def __init__(self, K):
+        self.K, self.calls = K, 0
+
+    def __call__(self, I):
+        self.calls += 1
+        return self.K(I)
+
+
+def test_check_monotone_samples_k_once_per_instance():
+    counted = _Counted(_quartic)
+    K = ActionHamiltonian(K=counted, n=3, monotone=True)
+    assert K.check_monotone() is True
+    assert counted.calls == 2 * K.n * ebk.MONOTONE_SAMPLES
+    counted.calls = 0
+    assert K.check_monotone() is True
+    assert counted.calls == 0
+    spec = energy_levels(K, (2, 2, 2), 1)
+    counted.calls = 0
+    assert verify_energy_bound(K, spec) == verify_energy_bound(K, spec)
+    assert counted.calls == 2  # one ground bound per report, no sampling
+
+
+def test_a_replaced_k_is_sampled_afresh():
+    K = ActionHamiltonian(K=_quartic, n=3, monotone=True)
+    assert K.check_monotone() is True
+    other = dataclasses.replace(K, K=lambda I: float(np.sum(I) - I[1] ** 2))
+    assert other.check_monotone() is reference_check_monotone(other) is False
+    assert K.check_monotone() is True
+
+
+def test_a_raising_k_raises_on_every_call():
+    def raising(I):
+        raise ArithmeticError("K is undefined here")
+
+    K = ActionHamiltonian(K=raising, n=2, monotone=True)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="undefined"):
+            K.check_monotone()
+    assert "_monotone_verdict" not in vars(K)
+
+
+def test_a_kept_verdict_is_not_redecided_by_later_settings(monkeypatch):
+    K = ActionHamiltonian(K=_nan_above_five, n=2, monotone=True)
+    assert K.check_monotone() is False
+    monkeypatch.setattr(ebk, "MONOTONE_BOX", (1e-3, 1.0))
+    assert K.check_monotone() is False
+    assert dataclasses.replace(K).check_monotone() is True
 
 
 def test_grad_is_bit_identical_to_the_per_coordinate_differences():
