@@ -323,14 +323,62 @@ def _plane_rotations(theta: np.ndarray) -> np.ndarray:
     return rot
 
 
+def _hashmix(v, c):
+    """SeedSequence's hashmix of the words v, with c the hash constants before and after each."""
+    v = (v ^ c[:-1]) * c[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _hash_constants(h: int, m: int, k: int) -> np.ndarray:  # h m^i mod 2^32 for i <= k
+    return np.array([h * pow(m, i, 2**32) % 2**32 for i in range(k + 1)], np.uint32)[:, None]
+
+
+# NEP 19's SeedSequence (numpy's bit_generator.pyx) hashes with these running constants
+# when it mixes its 4-word pool and when it draws 8 words of state, whatever the entropy.
+MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# Below this many seeds numpy's own default_rng seeds each stream faster than one batch.
+SEED_BATCH = 16
+
+
+def _streams(seeds):
+    """Yield default_rng(seed) for each seed of seeds, bit for bit.  A batch of SEED_BATCH
+    or more ints in [0, 2^64) runs SeedSequence(seed).generate_state(4, np.uint64) in uint32
+    passes over the batch, then PCG64's seeding (pcg64_set_seed: inc = 2 i + 1, state =
+    (s + inc) M + inc mod 2^128 for the words (s, i)) in Python ints, and sets the state of
+    one Generator before each yield; any other batch takes default_rng seed by seed."""
+    if len(seeds) < SEED_BATCH or not all(type(s) is int and 0 <= s < 2**64 for s in seeds):
+        yield from map(np.random.default_rng, seeds)
+        return
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), np.uint32)  # the entropy words, low first, 0-padded
+    pool[0], pool[1] = s & np.uint64(0xFFFFFFFF), s >> np.uint64(32)
+    pool = _hashmix(pool, MIX_HASH[:5])
+    for src in range(4):  # mix(x, y) = (L x - R y) ^ >> 16 into every other word
+        dst = [d for d in range(4) if d != src]
+        x = (np.uint32(0xCA01F9DD) * pool[dst]
+             - np.uint32(0x4973F715) * _hashmix(pool[src], MIX_HASH[4 + 3 * src:8 + 3 * src]))
+        pool[dst] = x ^ (x >> np.uint32(16))
+    words = _hashmix(np.tile(pool, (2, 1)), STATE_HASH).astype(np.uint64)
+    words = words[0::2] | (words[1::2] << np.uint64(32))  # little-endian uint32 pairs
+    rng = np.random.default_rng(0)  # its state is replaced for every seed
+    for s_hi, s_lo, i_hi, i_lo in words.T.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & (2**128 - 1)
+        state = (((s_hi << 64 | s_lo) + inc) * PCG64_MULT + inc) & (2**128 - 1)
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        yield rng
+
+
 def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
-    """The unvalidated stack (T, 2n, 2n) behind random_symplectic, one map per seed."""
+    """The unvalidated stack (T, 2n, 2n) behind random_symplectic, one map per seed, each
+    drawn from default_rng(seed): _streams mirrors numpy's SeedSequence and PCG64 seeding."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     positive("spread", spread)
     A, theta = np.empty((len(seeds), 2, 2 * n, 2 * n)), np.empty((len(seeds), n))
-    for k, seed in enumerate(seeds):  # each map keeps its own stream
-        rng = np.random.default_rng(seed)
+    for k, rng in enumerate(_streams(seeds)):  # each map keeps its own stream
         rng.standard_normal(out=A[k])  # scaled below: numpy draws normal(scale=s) as 0 + s z
         rng.random(out=theta[k])  # and uniform(0, 2 pi) as 0 + 2 pi u, so the bits are the same
     A *= spread

@@ -28,6 +28,7 @@ from symcap.symcore import (
     _bisect,
     _inverse,
     _plane_rotations,
+    _streams,
     _symplectic_verdicts,
     expm,
     validate_symplectic,
@@ -126,7 +127,7 @@ def test_random_symplectic_accepts_ill_conditioned_draws():
 
 
 @given(st.integers(1, 10), st.floats(0.5, 3.0),
-       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5))
+       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
 @settings(max_examples=30, deadline=None)
 def test_stacked_draw_equals_random_symplectic(n, spread, seeds):
     stack = random_symplectic_stack(n, seeds, spread)
@@ -150,6 +151,38 @@ def test_stacked_draw_keeps_the_per_seed_stream(n, spread):
     E = expm(standard_form_matrix(n) @ ((A + np.swapaxes(A, 2, 3)) / 2.0))
     expected = E[:, 0] @ E[:, 1] @ _plane_rotations(theta)
     assert random_symplectic_stack(n, seeds, spread).tobytes() == expected.tobytes()
+
+
+def stream_heads(seeds, streams):
+    """The first standard_normal and random draws of each stream, and the distinct generators."""
+    heads, rngs = [], []
+    for seed, rng in zip(seeds, streams):
+        heads.append((seed, rng.standard_normal(3).tobytes(), rng.random(2).tobytes()))
+        rngs.append(rng)
+    return heads, len({id(rng) for rng in rngs})
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+# a batch of ints in [0, 2^64) is seeded at once and drawn through one generator; any other
+# batch, and a short one, is seeded by numpy's default_rng itself
+@pytest.mark.parametrize("seeds, generators", [
+    (EDGE_SEEDS + list(range(2, 22)), 1),
+    ([((2**61 + 5) * 1_000_003 + t) % 2**63 for t in range(3000)], 1),  # nonsqueeze_verify's
+    (EDGE_SEEDS + [2**64, 2**100] + list(range(2, 22)), 28),
+    (EDGE_SEEDS, 6),
+])
+def test_batched_seeding_gives_numpy_streams(seeds, generators):
+    heads, distinct = stream_heads(seeds, _streams(seeds))
+    assert heads == stream_heads(seeds, map(np.random.default_rng, seeds))[0]
+    assert distinct == generators
+
+
+@pytest.mark.parametrize("seeds", [[-1], [*range(20), -1]])
+def test_negative_seed_raises_numpy_error(seeds):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        random_symplectic_stack(2, seeds)
 
 
 def hamiltonian_stack(n, shape, seed):
