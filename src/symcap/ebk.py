@@ -20,12 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .symcore import DegenerateInputError, ValidationError, _bisect, positive, write_csv
+from .symcore import EPS, DegenerateInputError, ValidationError, _bisect, positive, write_csv
 
 FD_STEP = 1e-6  # central differences step by h = FD_STEP max(|I_j|, 1)
 # Relative slack of the capacity condition and the energy bound: pi R^2 and pi hbar round
 # within 3 eps of exact (measured worst gap 2.5 eps over 4e5 levels, hbar 1e-300..1e300)
-ROUNDING_RTOL = 4 * float(np.finfo(float).eps)
+ROUNDING_RTOL = 4 * EPS
+HALF_MAX = sys.float_info.max / 2.0  # 2 I overflows above it
 # check_monotone draws this many actions from this seed, uniformly in this box
 MONOTONE_SAMPLES, MONOTONE_SEED, MONOTONE_BOX = 1000, 0, (1e-3, 10.0)
 
@@ -129,20 +130,28 @@ def _maslov_indices(maslov) -> tuple:
     return tuple(int(m) for m in given)
 
 
-def quantized_actions(maslov, n_max: int, hbar: float = 1.0):
-    """All (N, I) pairs with 0 <= N_j <= N_max and I_j = (N_j + m_j/4) hbar."""
+def _action_grid(maslov, n_max: int, hbar: float):
+    """(Ns, I): the N tuples with 0 <= N_j <= N_max in itertools.product order, and the
+    (L, n) array of their actions I_j = (N_j + m_j/4) hbar, one that overflows read as inf."""
     maslov = _maslov_indices(maslov)
     if n_max < 0:
         raise ValidationError(f"need N_max >= 0, got {n_max}")
     positive("hbar", hbar)
-    return [(N, np.array([(N_j + m / 4.0) * hbar for N_j, m in zip(N, maslov)]))
-            for N in itertools.product(range(n_max + 1), repeat=len(maslov))]
+    Ns = list(itertools.product(range(n_max + 1), repeat=len(maslov)))
+    with np.errstate(over="ignore"):
+        I = (np.array(Ns, dtype=float) + np.array(maslov, dtype=float) / 4.0) * hbar
+    return Ns, I
+
+
+def quantized_actions(maslov, n_max: int, hbar: float = 1.0):
+    """All (N, I) pairs with 0 <= N_j <= N_max and I_j = (N_j + m_j/4) hbar."""
+    return list(zip(*_action_grid(maslov, n_max, hbar)))
 
 
 def torus_radii_from_actions(actions) -> np.ndarray:
     """R_j = sqrt(2 I_j) for the invariant torus carrying the actions."""
     I = np.atleast_1d(positive("actions", actions))
-    if np.any(I > np.finfo(float).max / 2.0):
+    if np.any(I > HALF_MAX):
         raise ValidationError(f"actions {I.tolist()} overflow 2 I in the torus radii")
     return np.sqrt(2.0 * I)
 
@@ -182,23 +191,32 @@ class EBKSpectrum:
 
 
 def energy_levels(K: ActionHamiltonian, maslov, n_max: int, hbar: float = 1.0) -> EBKSpectrum:
-    """Semiclassical spectrum E_N = K((N + m/4) hbar) over the full N grid."""
+    """Semiclassical spectrum E_N = K((N + m/4) hbar) over the full N grid.
+
+    K is called once per level, in grid order.  The first level whose K raises or
+    overflows, or whose largest plane area 2 pi I_j overflows, is refused, named by its
+    actions."""
     maslov = _maslov_indices(maslov)
     if len(maslov) != K.n:
         raise ValidationError("Maslov tuple length does not match K")
-    entries = []
-    for N, I in quantized_actions(maslov, n_max, hbar):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-                energy = K.energy(I)
-        except Exception as exc:
-            raise ValidationError(f"K failed at actions {I.tolist()}: {exc}") from exc
-        area = 2.0 * math.pi * max(I.tolist())  # the largest plane area pi R_j^2 = 2 pi I_j
-        if not (math.isfinite(energy) and math.isfinite(area)):
-            raise ValidationError(f"EBK level at actions {I.tolist()} with hbar = {hbar!r} "
-                                  f"overflows: energy {energy!r}, plane area {area!r}")
-        entries.append(EBKLevel(N=N, maslov=maslov, actions=I,
-                                radii=torus_radii_from_actions(I), energy=energy))
+    Ns, I = _action_grid(maslov, n_max, hbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        area = 2.0 * math.pi * I.max(axis=1)  # the largest plane area pi R_j^2 = 2 pi I_j
+        fits = (np.isfinite(area) & (I.min(axis=1) > 0.0)).tolist()  # an I_j may round to 0
+        energies = []
+        for row, fit, a in zip(I, fits, area.tolist()):
+            try:
+                energies.append(energy := K.energy(row))
+            except Exception as exc:
+                raise ValidationError(f"K failed at actions {row.tolist()}: {exc}") from exc
+            if not (math.isfinite(energy) and fit):
+                if math.isfinite(energy) and math.isfinite(a):
+                    torus_radii_from_actions(row)  # refuses the action that rounded to 0
+                raise ValidationError(f"EBK level at actions {row.tolist()} with hbar = {hbar!r} "
+                                      f"overflows: energy {energy!r}, plane area {a!r}")
+    radii = torus_radii_from_actions(I)  # a finite area 2 pi I_j keeps 2 I_j finite
+    entries = [EBKLevel(N=N, maslov=maslov, actions=a, radii=r, energy=e)
+               for N, a, r, e in zip(Ns, I, radii, energies)]
     entries.sort(key=lambda e: (e.energy, e.N))
     return EBKSpectrum(entries=tuple(entries), hbar=hbar)
 
@@ -259,7 +277,7 @@ GL_FIRST, GL_LAST, GL_RTOL = 16, 1024, 1e-10
 MOMENTUM_CAP = 1e12  # a momentum bracket that passes it means an unbounded level set
 POSITION_CAP = 1e6  # a turning-point walk that passes it means an unbounded level set
 ILLINOIS_STEPS = 100
-ROOT_RTOL = 4 * np.finfo(float).eps  # a bracket on q = p^2 this narrow relative to q has converged
+ROOT_RTOL = 4 * EPS  # a bracket on q = p^2 this narrow relative to q has converged
 
 
 @functools.cache

@@ -27,6 +27,7 @@ DEFAULT_TOL = 1e-9
 # 0-199 each), |det S - 1| stayed below 2.9 eps |S|_F^2; 820 of them fail a fixed
 # 10 * tol bound.
 DET_ROUNDOFF = 10.0
+EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 class DimensionError(ValueError):
@@ -39,10 +40,6 @@ class ValidationError(ValueError):
 
 class DegenerateInputError(ValueError):
     """An input is degenerate (e.g. zero energy where a ratio is needed)."""
-
-
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
 def positive(name: str, x):
@@ -72,17 +69,19 @@ def plane_indices(n: int, j: int) -> list:
 
 
 def validate_posdef(R):
-    """(R, w, U) for a symmetric positive-definite matrix of even order: R the
+    """(R, w, U) for a symmetric positive-definite matrix of even order >= 2: R the
     symmetrized copy (R + R^T) / 2 and R = U diag(w) U^T its eigendecomposition,
     w ascending.  The verdict is on that copy, the matrix every caller uses.  The
-    three arrays are read-only, so a region or Hamiltonian can keep them."""
+    three arrays are read-only, so a region or Hamiltonian can keep them; one
+    reduction max|R| gives both the finiteness verdict and the scale of the tests."""
     R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2:
-        raise DimensionError(f"expected a square matrix of even order, got shape {R.shape}")
-    if not np.all(np.isfinite(R)):
+    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2 or not R.size:
+        raise DimensionError(f"expected a square matrix of even order >= 2, got shape {R.shape}")
+    scale = float(np.abs(R).max())  # NaN or inf if any entry is
+    if not math.isfinite(scale):
         raise ValidationError(f"matrix entries must be finite, got {R.tolist()}")
-    scale = max(_maxabs(R), np.finfo(float).tiny)
-    if _maxabs(R - R.T) > 1e-10 * scale:
+    scale = max(scale, TINY)
+    if np.abs(R - R.T).max() > 1e-10 * scale:
         raise ValidationError("matrix is not symmetric")
     R = (R + R.T) / 2.0
     w, U = np.linalg.eigh(R)
@@ -102,14 +101,22 @@ def write_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def standard_form_matrix(n: int) -> np.ndarray:
-    """Return the 2n x 2n matrix J of the standard symplectic form."""
+@functools.cache
+def _J(n: int) -> np.ndarray:
+    """The J of standard_form_matrix(n), built once per n and read-only."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
+    J.setflags(write=False)
     return J
+
+
+def standard_form_matrix(n: int) -> np.ndarray:
+    """Return the 2n x 2n matrix J of the standard symplectic form.  J is built once
+    per n; each call returns a new, writable copy that the caller owns."""
+    return _J(n).copy()
 
 
 def as_phase_point(z) -> np.ndarray:
@@ -169,14 +176,15 @@ def _symplectic_verdicts(S: np.ndarray, tol: float):
         raise DimensionError(f"expected square matrices, got shape {S.shape[1:]}")
     if S.shape[-1] % 2:
         raise DimensionError(f"symplectic matrices have even order, got {S.shape[-1]}")
-    J = standard_form_matrix(S.shape[-1] // 2)
+    J = _J(S.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow fails
-        diff = np.abs(np.swapaxes(S, 1, 2) @ J @ S - J)
-        col = np.sqrt((S**2).sum(axis=1))
+        diff = np.abs(S.swapaxes(1, 2) @ J @ S - J)
+        sq = S**2
+        col = np.sqrt(sq.sum(axis=1))
         reading = (diff / (col[:, :, None] * col[:, None, :])).max(axis=(1, 2))
         det = np.linalg.det(S)
         limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
-                           DET_ROUNDOFF * np.finfo(float).eps * (S**2).sum(axis=(1, 2)))
+                           DET_ROUNDOFF * EPS * sq.sum(axis=(1, 2)))
     return (diff.max(axis=(1, 2)), reading, (reading <= tol) & np.isfinite(col).all(axis=1),
             det, (np.abs(det - 1.0) <= limit) & np.isfinite(limit))
 
@@ -315,11 +323,12 @@ def _plane_rotations(theta: np.ndarray) -> np.ndarray:
     """exp(J diag(theta, theta)) for theta (..., n): the rotations by theta_j in the
     conjugate planes j, as a (..., 2n, 2n) stack."""
     n = theta.shape[-1]
-    i = np.arange(n)
+    i = np.arange(2 * n)
+    c, s = np.cos(theta), np.sin(theta)
     rot = np.zeros((*theta.shape[:-1], 2 * n, 2 * n))
-    rot[..., i, i] = rot[..., n + i, n + i] = np.cos(theta)
-    rot[..., i, n + i] = np.sin(theta)
-    rot[..., n + i, i] = -np.sin(theta)
+    # cos theta_j on the diagonal, sin at (j, n + j) and -sin at (n + j, j)
+    rot[..., np.concatenate([i, i]), np.concatenate([i, i[n:], i[:n]])] = np.concatenate(
+        [c, c, s, -s], axis=-1)
     return rot
 
 
@@ -383,7 +392,7 @@ def _draw_symplectic(n: int, seeds, spread: float) -> np.ndarray:
         rng.random(out=theta[k])  # and uniform(0, 2 pi) as 0 + 2 pi u, so the bits are the same
     A *= spread
     A = (A + np.swapaxes(A, 2, 3)) / 2.0
-    E = expm(standard_form_matrix(n) @ A)
+    E = expm(_J(n) @ A)
     return E[:, 0] @ E[:, 1] @ _plane_rotations(2.0 * np.pi * theta)
 
 

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (
-    SymplecticMatrix,
-    _maxabs,
-    positive,
-    standard_form_matrix,
-    validate_posdef,
-    write_csv,
-)
+from .symcore import TINY, SymplecticMatrix, _J, positive, validate_posdef, write_csv
 
 
 class NumericalError(RuntimeError):
@@ -74,7 +67,7 @@ def _hermitian_form(w: np.ndarray, U: np.ndarray):
     """(R^{-1/2}, K = R^{-1/2} J R^{-1/2}) from the eigendecomposition R = U diag(w) U^T
     that validate_posdef returns; see _normal_form."""
     half_inv = (U * (1.0 / np.sqrt(w))) @ U.T
-    return half_inv, half_inv @ standard_form_matrix(len(w) // 2) @ half_inv
+    return half_inv, half_inv @ _J(len(w) // 2) @ half_inv
 
 
 def _normal_form(w, U):
@@ -114,8 +107,10 @@ def williamson_decompose(R) -> WilliamsonDecomposition:
     """
     R, w, U = validate_posdef(R)
     mu, S = _normal_form(w, U)
-    residual = _maxabs(S.T @ R @ S - np.diag(np.concatenate([mu, mu])))
-    bound = 1e-8 * max(_maxabs(R), np.finfo(float).tiny)
+    D = S.T @ R @ S
+    D.ravel()[::len(D) + 1] -= np.concatenate([mu, mu])  # a view: D is C-contiguous
+    residual = float(np.abs(D).max())
+    bound = 1e-8 * max(float(np.abs(R).max()), TINY)
     if residual > bound:
         raise NumericalError(
             f"Williamson residual {residual:.3e} exceeds bound {bound:.3e} "

@@ -449,6 +449,52 @@ def test_energy_levels_refuses_overflow(K, hbar, n_max):
             energy_levels(K, (2,), n_max, hbar)
 
 
+@pytest.mark.parametrize("K, maslov, n_max, hbar", [
+    (oscillator_hamiltonian([1.3]), (2,), 12, 0.7),
+    (oscillator_hamiltonian([0.8, 2.1]), (2, 2), 9, 1.3),
+    (oscillator_hamiltonian([0.5, 1.1, 2.9]), (2, 2, 2), 5, 0.9),
+    (ActionHamiltonian(K=lambda I: float(np.sum(I**2) + np.prod(I)), n=3, monotone=True),
+     (2, 4, 2), 5, 1.7),
+], ids=["oscillator-n1", "oscillator-n2", "oscillator-n3", "quartic-242"])
+def test_energy_levels_are_the_bits_of_a_per_level_computation(K, maslov, n_max, hbar):
+    levels = {e.N: e for e in energy_levels(K, maslov, n_max, hbar).entries}
+    grid = quantized_actions(maslov, n_max, hbar)
+    assert len(levels) == len(grid) == (n_max + 1) ** len(maslov)
+    for N, I in grid:
+        e = levels[N]
+        expected = np.array([(N_j + m / 4.0) * hbar for N_j, m in zip(N, maslov)])
+        assert e.actions.tobytes() == I.tobytes() == expected.tobytes()
+        assert e.radii.tobytes() == torus_radii_from_actions(I).tobytes()
+        assert e.energy.hex() == K.energy(I).hex()
+
+
+def test_energy_levels_name_the_level_whose_K_fails():
+    calls = []
+
+    def K(I):
+        calls.append(I.tolist())
+        if calls[-1] == [1.5, 0.5]:
+            raise ZeroDivisionError("no energy here")
+        return float(I.sum())
+
+    with pytest.raises(ValidationError,
+                       match=re.escape("K failed at actions [1.5, 0.5]: no energy here")):
+        energy_levels(ActionHamiltonian(K=K, n=2), (2, 2), 3)
+    # K runs in grid order, N = (0, 0), (0, 1), ..., and stops at the level that fails
+    assert calls == [[0.5, 0.5], [0.5, 1.5], [0.5, 2.5], [0.5, 3.5], [1.5, 0.5]]
+
+
+def test_energy_levels_refuse_an_action_that_underflows_at_its_level():
+    # (0 + 2/4) 5e-324 rounds to 0 at N = (0, 0), before K fails at the next level
+    def K(I):
+        if I[1] > 5e-324:
+            raise ValueError("K fails from N = (0, 1) on")
+        return 0.0
+
+    with pytest.raises(ValidationError, match=re.escape("actions must be > 0 and finite")):
+        energy_levels(ActionHamiltonian(K=K, n=2), (2, 4), 1, 5e-324)
+
+
 def test_verify_energy_bound_power():
     K = ActionHamiltonian(K=lambda I: float(I[0] ** 2), n=1, monotone=True)
     spec = energy_levels(K, (2,), 5)

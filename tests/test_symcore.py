@@ -22,10 +22,12 @@ from symcap import (
     random_symplectic_stack,
     standard_form_matrix,
     symplectic_form,
+    williamson_decompose,
 )
 from symcap.symcore import (
     DEFAULT_TOL,
     _bisect,
+    _J,
     _inverse,
     _plane_rotations,
     _streams,
@@ -42,6 +44,26 @@ def test_standard_form_matrix_convention():
     # sigma(z, z') = p.x' - p'.x
     assert symplectic_form(z, zp) == pytest.approx(3 * 5 + 4 * 6 - 7 * 1 - 8 * 2)
     assert symplectic_form(z, zp) == pytest.approx((J @ z) @ zp)
+
+
+def test_standard_form_matrix_is_a_fresh_copy_of_the_kept_j():
+    J = standard_form_matrix(2)
+    assert J.flags.writeable and J is not standard_form_matrix(2)
+    assert not _J(2).flags.writeable
+    with pytest.raises(ValueError):
+        _J(2)[0, 2] = 7.0
+    maps = [np.eye(4), np.diag([2.0, 1.0, 0.5, 1.0]), random_symplectic(2, 3).entries]
+    R = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
+
+    def outputs():
+        dec = williamson_decompose(R)
+        return ([is_symplectic(M) for M in maps], dec.S.entries.tobytes(), dec.residual,
+                random_symplectic_stack(2, list(range(20))).tobytes())
+
+    before = outputs()
+    J[...] = 7.0  # the caller owns its copy: nothing else sees the write
+    assert outputs() == before
+    assert standard_form_matrix(2).tobytes() == _J(2).tobytes() != J.tobytes()
 
 
 def test_is_symplectic_identity():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from symcap import (
     Ball,
     Cylinder,
+    DimensionError,
     Ellipsoid,
     ValidationError,
     capacity,
@@ -256,6 +257,24 @@ def test_posdef_verdict_is_on_the_symmetrized_matrix(build):
             build(MISJUDGED_A)
         mu = symplectic_spectrum(MISJUDGED_B).mu
     assert np.isfinite(mu).all() and mu[0] == pytest.approx(5.52e-6, rel=1e-2)
+
+
+@pytest.mark.parametrize("build", [symplectic_spectrum, williamson_decompose,
+                                   QuadraticHamiltonian],
+                         ids=["symplectic_spectrum", "williamson_decompose",
+                              "QuadraticHamiltonian"])
+def test_empty_hessian_is_a_dimension_error(build):
+    with pytest.raises(DimensionError, match=r"got shape \(0, 0\)$"):
+        build(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_hessian_entries_are_refused_without_warnings(bad):
+    # one reduction max|R| decides finiteness: NaN and +-inf both read as non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^matrix entries must be finite, got"):
+            validate_posdef([[1.0, 0.0], [0.0, bad]])
 
 
 def count_factorizations(monkeypatch, dim):
