@@ -214,7 +214,7 @@ def energy_levels(K: ActionHamiltonian, maslov, n_max: int, hbar: float = 1.0) -
                     torus_radii_from_actions(row)  # refuses the action that rounded to 0
                 raise ValidationError(f"EBK level at actions {row.tolist()} with hbar = {hbar!r} "
                                       f"overflows: energy {energy!r}, plane area {a!r}")
-    radii = torus_radii_from_actions(I)  # a finite area 2 pi I_j keeps 2 I_j finite
+    radii = np.sqrt(2.0 * I)  # every I_j > 0 and, its area 2 pi I_j finite, 2 I_j finite
     entries = [EBKLevel(N=N, maslov=maslov, actions=a, radii=r, energy=e)
                for N, a, r, e in zip(Ns, I, radii, energies)]
     entries.sort(key=lambda e: (e.energy, e.N))

@@ -42,18 +42,25 @@ class DegenerateInputError(ValueError):
     """An input is degenerate (e.g. zero energy where a ratio is needed)."""
 
 
+def _positive_entries(x):
+    v = np.asarray(x, dtype=float)
+    # a Python loop beats numpy's reductions on the short vectors checked here
+    return v, v.size > 0 and all(0.0 < r < math.inf for r in v.ravel().tolist())
+
+
 def positive(name: str, x):
     """x as a float, or a float array for a sequence or an array, if every value
     is > 0 and finite; anything else (no value, NaN, +-inf, a value <= 0, or one
     float() cannot read, None included) raises ValidationError naming x."""
     try:
-        try:
-            v = float(x)
-            ok = 0.0 < v < math.inf
-        except TypeError:  # a sequence or an array (None reads as NaN)
-            v = np.asarray(x, dtype=float)
-            # a Python loop beats numpy's reductions on the short vectors checked here
-            ok = v.size > 0 and all(0.0 < r < math.inf for r in v.ravel().tolist())
+        if isinstance(x, np.ndarray) and x.ndim:  # numpy < 2.4 would read a size-1 one as a float
+            v, ok = _positive_entries(x)
+        else:
+            try:
+                v = float(x)
+                ok = 0.0 < v < math.inf
+            except TypeError:  # a sequence (None reads as NaN)
+                v, ok = _positive_entries(x)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -101,7 +108,7 @@ def write_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)  # bounded: one J at n = 2000 is 128 MB
 def _J(n: int) -> np.ndarray:
     """The J of standard_form_matrix(n), built once per n and read-only."""
     if n < 1:
@@ -323,12 +330,12 @@ def _plane_rotations(theta: np.ndarray) -> np.ndarray:
     """exp(J diag(theta, theta)) for theta (..., n): the rotations by theta_j in the
     conjugate planes j, as a (..., 2n, 2n) stack."""
     n = theta.shape[-1]
-    i = np.arange(2 * n)
-    c, s = np.cos(theta), np.sin(theta)
+    i = np.arange(n)
+    s = np.sin(theta)
     rot = np.zeros((*theta.shape[:-1], 2 * n, 2 * n))
-    # cos theta_j on the diagonal, sin at (j, n + j) and -sin at (n + j, j)
-    rot[..., np.concatenate([i, i]), np.concatenate([i, i[n:], i[:n]])] = np.concatenate(
-        [c, c, s, -s], axis=-1)
+    rot[..., i, i] = rot[..., n + i, n + i] = np.cos(theta)
+    rot[..., i, n + i] = s
+    rot[..., n + i, i] = -s
     return rot
 
 

@@ -468,6 +468,14 @@ def test_energy_levels_are_the_bits_of_a_per_level_computation(K, maslov, n_max,
         assert e.energy.hex() == K.energy(I).hex()
 
 
+def test_a_one_level_one_plane_spectrum_keeps_its_radii_a_vector():
+    spec = energy_levels(oscillator_hamiltonian([1.3]), (2,), 0)
+    (e,) = spec.entries
+    assert e.radii.shape == e.actions.shape == (1,)
+    assert spec.to_dict()["levels"][0]["radii"] == [1.0]
+    assert spec.to_csv().splitlines()[1].startswith("0,0.5,1.0,")
+
+
 def test_energy_levels_name_the_level_whose_K_fails():
     calls = []
 

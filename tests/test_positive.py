@@ -76,6 +76,21 @@ def test_positive_returns_floats():
             positive("x", bad)
 
 
+class _SizeOneFloat(np.ndarray):
+    """An array that float() reads when it has one entry, as numpy < 2.4 does."""
+
+    def __float__(self):
+        return float(self.item())
+
+
+def test_a_size_one_array_stays_an_array():
+    for x in (np.array([2.0]), np.array([2.0]).view(_SizeOneFloat)):
+        v = positive("x", x)
+        assert v.shape == (1,) and v.tolist() == [2.0]
+    assert type(positive("x", np.array(2.0))) is float
+    assert type(positive("x", np.float64(2.0))) is float
+
+
 def test_checked_values_keep_their_type():
     assert regions.region_to_json(regions.Ball([0, 0], 2)) == (
         '{"R": 2, "center": [0.0, 0.0], "variant": "Ball"}')
