@@ -17,7 +17,7 @@ _EXPORTS = {
                    "symplectic_spectrum", "williamson_decompose"),
     "regions": ("AffineImage", "Ball", "CapacityValue", "Cylinder", "Ellipsoid", "SolidTorus",
                 "capacity", "inclusion_check", "map_region", "region_from_json",
-                "region_to_json", "sandwich_capacity", "scale_region"),
+                "region_to_json", "scale_region"),
     "squeeze": ("ShadowReport", "intersection_area", "mc_intersection_area",
                 "mc_projection_area", "nonsqueeze_verify", "projection_area", "shadow_report"),
     "maslov": ("LagrangianFrame", "LagrangianLoop", "MaslovResult", "maslov_index",

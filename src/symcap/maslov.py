@@ -19,15 +19,10 @@ import numpy as np
 from .symcore import DimensionError, SymplecticMatrix, ValidationError, plane_indices, positive
 
 CLOSURE_TOL = 1e-8  # max principal angle between endpoint planes
-SNAP_TOL = 0.1      # max |raw winding - integer| accepted
 
 
 class ClosureError(ValueError):
     """Loop endpoints do not span the same Lagrangian plane."""
-
-
-class SamplingTooCoarseError(RuntimeError):
-    """The raw winding of a loop is not within SNAP_TOL of an integer."""
 
 
 def validate_frames(frames: np.ndarray) -> None:
@@ -159,14 +154,16 @@ class MaslovResult:
 
 
 def maslov_index(loop: LagrangianLoop) -> MaslovResult:
-    """Winding number of det w(t) over the loop, snapped to an integer.
+    """Winding number of det w(t) over the loop, rounded to an integer.
 
     Within step k the principal directions of the plane turn by angles
     theta_j, and the unitary w_k^H w_{k+1} has eigenvalues exp(2i theta_j).
     The raw winding is (1/2 pi) times the sum, over all steps, of the
     principal phases of those eigenvalues, from one batched eigvals call.
-    Refuses (rather than rounds) when the raw winding is farther than
-    SNAP_TOL from the nearest integer.
+    Step k's phases add up to the phase of det w_{k+1} / det w_k modulo 2 pi,
+    so the steps telescope to the phase of det w_K / det w_0: on a loop closed
+    to CLOSURE_TOL, |raw - index| <= n CLOSURE_TOL / pi up to rounding, and
+    the raw winding is never near a half-integer.
 
     The loop is known only at its samples, and a plane is only determined by
     its principal angles modulo pi.  A direction that turns by pi/2 or more
@@ -179,12 +176,7 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     w = _souriau(loop.frames)
     steps = np.angle(np.linalg.eigvals(np.swapaxes(w[:-1], 1, 2).conj() @ w[1:]))
     raw = float(np.cumsum(steps.sum(axis=1))[-1]) / (2.0 * np.pi)  # step sums added in order
-    index = int(round(raw))
-    if abs(raw - index) >= SNAP_TOL:
-        raise SamplingTooCoarseError(
-            f"raw winding {raw} is not within {SNAP_TOL} of an integer"
-        )
-    return MaslovResult(index=index, raw_winding=raw, refinement_depth=0)
+    return MaslovResult(index=int(round(raw)), raw_winding=raw, refinement_depth=0)
 
 
 def torus_cycle_loop(radii, j: int, samples: int = 64) -> LagrangianLoop:

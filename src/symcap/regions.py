@@ -36,10 +36,6 @@ class UnsupportedCombinationError(ValueError):
     """inclusion_check has no decision procedure for this pair of shapes."""
 
 
-class InconsistentCertificateError(ValueError):
-    """Caller-supplied inclusion certificates contradict non-squeezing."""
-
-
 @dataclass(frozen=True)
 class Ball:
     center: np.ndarray
@@ -104,7 +100,8 @@ class Cylinder:
     def __post_init__(self):
         object.__setattr__(self, "center", as_phase_point(self.center))
         positive("cylinder radius", self.radius)
-        plane_indices(self.n, self.pair_index)
+        # kept as the Python int j, which JSON and numpy indexing both take
+        object.__setattr__(self, "pair_index", plane_indices(self.n, self.pair_index)[0] + 1)
 
     @property
     def n(self) -> int:
@@ -136,28 +133,19 @@ PhaseRegion = Union[Ball, Ellipsoid, SolidTorus, Cylinder, AffineImage]
 
 @dataclass(frozen=True)
 class CapacityValue:
-    """A capacity in action units, > 0 and finite; bounds bracket the value when
-    not exact.  A value that underflowed to 0 or overflowed to inf is refused."""
+    """A capacity in action units, > 0 and finite.  A value that underflowed to 0 or
+    overflowed to inf is refused.  Every capacity is exact, so the JSON keeps
+    "exact": true and "bounds": [value, value] as constants."""
 
     value: float
-    exact: bool
-    bounds: tuple
 
     def __post_init__(self):
-        lo, hi = self.bounds
-        if not (0.0 < lo <= self.value <= hi and math.isfinite(hi)):
-            got = self.value if lo == self.value == hi else f"{self.value} in {self.bounds}"
-            raise ValidationError(f"capacity must be finite and > 0, got {got}")
+        if not (self.value > 0.0 and math.isfinite(self.value)):
+            raise ValidationError(f"capacity must be finite and > 0, got {self.value}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "exact": self.exact, "bounds": list(self.bounds)},
-            sort_keys=True,
-        )
-
-
-def _exact(value: float) -> CapacityValue:
-    return CapacityValue(value=value, exact=True, bounds=(value, value))
+        return json.dumps({"value": self.value, "exact": True, "bounds": [self.value] * 2},
+                          sort_keys=True)
 
 
 def capacity(region: PhaseRegion) -> CapacityValue:
@@ -168,12 +156,12 @@ def capacity(region: PhaseRegion) -> CapacityValue:
     the underlying region (invariance axiom, no geometric recomputation).
     """
     if isinstance(region, (Ball, Cylinder)):
-        return _exact(math.pi * (region.radius * region.radius))
+        return CapacityValue(math.pi * (region.radius * region.radius))
     if isinstance(region, SolidTorus):
-        return _exact(math.pi * min(r * r for r in region.radii))
+        return CapacityValue(math.pi * min(r * r for r in region.radii))
     if isinstance(region, Ellipsoid):
         mu_max = float(_spectrum(*region._factors).mu[-1])  # numpy would warn on overflow
-        return _exact(2.0 * math.pi * region.level / mu_max)
+        return CapacityValue(2.0 * math.pi * region.level / mu_max)
     if isinstance(region, AffineImage):
         return capacity(region.inner)
     raise ValidationError(f"not a phase region: {region!r}")
@@ -206,24 +194,6 @@ def map_region(region: PhaseRegion, S: SymplecticMatrix, shift=None) -> PhaseReg
         composed = SymplecticMatrix(S.entries @ region.map.entries)
         return AffineImage(composed, S.entries @ region.shift + image.shift, region.inner)
     return image
-
-
-def sandwich_capacity(inner_radius: float, outer_radius: float, j: int) -> CapacityValue:
-    """Capacity from a certified sandwich B(inner) <= Omega <= Z_j(outer).
-
-    With equal radii the squeeze is tight and the capacity is exactly pi R^2;
-    otherwise only the bounds (pi inner^2, pi outer^2) survive.
-    """
-    positive("sandwich radii", (inner_radius, outer_radius))
-    if inner_radius > outer_radius:
-        raise InconsistentCertificateError(
-            f"B({inner_radius}) inside Z_{j}({outer_radius}) contradicts non-squeezing"
-        )
-    lo = math.pi * (inner_radius * inner_radius)
-    hi = math.pi * (outer_radius * outer_radius)
-    if inner_radius == outer_radius:
-        return _exact(lo)
-    return CapacityValue(value=lo, exact=False, bounds=(lo, hi))
 
 
 @dataclass(frozen=True)

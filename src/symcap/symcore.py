@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -69,7 +70,12 @@ def positive(name: str, x):
 
 
 def plane_indices(n: int, j: int) -> list:
-    """Indices [x_j, p_j] of the conjugate pair j (1-based) in a 2n-vector."""
+    """Indices [x_j, p_j] of the conjugate pair j (1-based) in a 2n-vector, as Python
+    ints; j is any integer type (operator.index), never a float."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise ValidationError(f"conjugate-pair index must be an integer, got {j!r}") from None
     if not 1 <= j <= n:
         raise ValidationError(f"conjugate-pair index {j} out of range 1..{n}")
     return [j - 1, n + j - 1]

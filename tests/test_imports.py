@@ -253,19 +253,26 @@ tracer.install()
 for module, name in TRACED:
     assert getattr(sys.modules["symcap." + module], name).__wrapped__, name
 assert sys.modules["symcap.maslov"].LagrangianFrame.__post_init__ is not frame_init
-from symcap import ebk, maslov
+from symcap import ebk, maslov, regions
 spec = ebk.energy_levels(ebk.oscillator_hamiltonian([1.0]), (2,), 0)
 ebk.capacity_condition(spec.entries[0])
 maslov.maslov_index(maslov.torus_cycle_loop([1.0], 1, samples=16))
+regions.inclusion_check(regions.Ball([0.0, 0.0], 1.0), regions.Cylinder(1, [0.0, 0.0], 2.0))
 tracer.uninstall()
 after = {{(m.__name__, k): v for m in mods for k, v in vars(m).items()}}
 assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 assert sys.modules["symcap.maslov"].LagrangianFrame.__post_init__ is frame_init
+print([span[5] for span in tracer.spans
+       if span[2] in ("maslov.maslov_index", "regions.inclusion_check")])
 print(sorted({{span[2] for span in tracer.spans}}))
 """
-    assert _run(code).splitlines()[-1] == str(sorted([
+    # the tracer's counters read InclusionResult.exact and MaslovResult.refinement_depth
+    lines = _run(code).splitlines()
+    assert lines[-2] == str([{"maslov.refinement_depth": 0},
+                             {"regions.inclusion_check.sampled": 0}])
+    assert lines[-1] == str(sorted([
         "ebk.energy_levels", "ebk.capacity_condition", "regions.capacity",
-        "maslov.torus_cycle_loop", "maslov.maslov_index"]))
+        "regions.inclusion_check", "maslov.torus_cycle_loop", "maslov.maslov_index"]))
 
 
 def test_an_export_read_under_the_tracer_is_the_home_object_after_uninstall():

@@ -38,7 +38,6 @@ SITES = {
     "ellipsoid-level": lambda v: regions.Ellipsoid(ORIGIN, np.eye(2), v),
     "solid-torus-radius": lambda v: regions.SolidTorus((1.0, v)),
     "cylinder-radius": lambda v: regions.Cylinder(1, ORIGIN, v),
-    "sandwich-radius": lambda v: regions.sandwich_capacity(v, 2.0, 1),
     "projection-area-R": lambda v: squeeze.projection_area(MAP, v, 1),
     "nonsqueeze-R": lambda v: squeeze.nonsqueeze_verify(1, 1, 0, R=v),
     "mc-projection-area-R": lambda v: squeeze.mc_projection_area(MAP, v, 1, samples=100),

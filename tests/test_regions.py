@@ -20,13 +20,14 @@ from symcap import (
     random_symplectic,
     region_from_json,
     region_to_json,
-    sandwich_capacity,
     scale_region,
 )
 from symcap import regions
+from symcap.maslov import maslov_index, torus_cycle_loop
+from symcap.squeeze import intersection_area, projection_area
+from symcap.symcore import plane_indices
 from symcap.regions import (
     CapacityValue,
-    InconsistentCertificateError,
     UnsupportedCombinationError,
     _extent,
 )
@@ -34,7 +35,6 @@ from symcap.regions import (
 
 def test_ball_capacity():
     c = capacity(Ball(np.zeros(4), 1.0))
-    assert c.exact
     assert c.value == pytest.approx(math.pi)
 
 
@@ -164,30 +164,13 @@ def test_mapped_ellipsoid_congruent_hessian():
     assert congruent == pytest.approx(capacity(e).value, rel=1e-9)
 
 
-def test_sandwich_tight():
-    c = sandwich_capacity(1.0, 1.0, 1)
-    assert c.exact and c.value == pytest.approx(math.pi)
-
-
-def test_sandwich_bounds():
-    c = sandwich_capacity(1.0, 2.0, 1)
-    assert not c.exact
-    assert c.bounds == pytest.approx((math.pi, 4.0 * math.pi))
-
-
-def test_sandwich_inconsistent():
-    with pytest.raises(InconsistentCertificateError):
-        sandwich_capacity(2.0, 1.0, 1)
-
-
 @pytest.mark.parametrize("make", [
     lambda: capacity(Ball(np.zeros(2), 1e160)),
     lambda: capacity(Cylinder(1, np.zeros(2), 1e160)),
     lambda: capacity(SolidTorus((1e160, 1e161))),
     lambda: capacity(Ellipsoid(np.zeros(2), 1e-300 * np.eye(2), 1e10)),
-    lambda: sandwich_capacity(1.0, 1e160, 1),
-    lambda: CapacityValue(math.nan, True, (math.nan, math.nan)),
-], ids=["ball", "cylinder", "solid-torus", "ellipsoid", "sandwich", "nan"])
+    lambda: CapacityValue(math.nan),
+], ids=["ball", "cylinder", "solid-torus", "ellipsoid", "nan"])
 def test_capacity_must_be_finite(make):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either
@@ -199,8 +182,7 @@ def test_capacity_must_be_finite(make):
     lambda: capacity(Ball(np.zeros(2), 1e-170)),
     lambda: capacity(Cylinder(1, np.zeros(2), 1e-170)),
     lambda: capacity(SolidTorus((1e-170, 1.0))),
-    lambda: sandwich_capacity(1e-170, 1.0, 1),
-], ids=["ball", "cylinder", "solid-torus", "sandwich"])
+], ids=["ball", "cylinder", "solid-torus"])
 def test_capacity_must_not_underflow(make):
     """Positive radii have positive capacity: pi R^2 = 0 is refused, not returned."""
     with pytest.raises(ValidationError, match=r"must be finite and > 0, got 0\.0"):
@@ -598,3 +580,30 @@ def test_region_json_minimal_ball():
 def test_region_json_rejects_unknown_variant():
     with pytest.raises(ValidationError):
         region_from_json('{"variant": "Banana", "R": 1}')
+
+
+@pytest.mark.parametrize("j", [1.0, 1.5, np.float64(2.0), "1", None],
+                         ids=["float", "half", "numpy-float", "str", "None"])
+def test_a_conjugate_pair_index_must_be_an_integer(j):
+    # refused where it enters: a float would give plane_indices(2, 1.5) == [0.5, 2.5]
+    # and surface later as an IndexError in inclusion_check, the shadow areas or the loop
+    S = random_symplectic(2, seed=0)
+    for call in (lambda: plane_indices(2, j), lambda: Cylinder(j, np.zeros(4), 1.0),
+                 lambda: projection_area(S, 1.0, j), lambda: intersection_area(S, 1.0, j),
+                 lambda: torus_cycle_loop([1.0, 2.0], j)):
+        with pytest.raises(ValidationError, match="conjugate-pair index must be an integer"):
+            call()
+
+
+def test_a_numpy_integer_pair_index_is_kept_as_an_int():
+    zero = np.zeros(4)
+    cylinder = Cylinder(np.int64(2), zero, 1.0)
+    assert type(cylinder.pair_index) is int
+    text = region_to_json(cylinder)
+    assert text == region_to_json(Cylinder(2, zero, 1.0))
+    assert region_to_json(region_from_json(text)) == text
+    assert inclusion_check(Ball(zero, 0.5), cylinder)
+    assert plane_indices(2, np.int64(2)) == [1, 3]
+    S = random_symplectic(2, seed=0)
+    assert projection_area(S, 1.0, np.int64(2)) == projection_area(S, 1.0, 2)
+    assert maslov_index(torus_cycle_loop([1.0, 2.0], np.int64(2))).index == 2
