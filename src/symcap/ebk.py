@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .symcore import EPS, DegenerateInputError, ValidationError, _bisect, positive, write_csv
+from .symcore import (EPS, DegenerateInputError, ValidationError, _bisect, positive,
+                      solid_torus_capacity, write_csv)
 
 FD_STEP = 1e-6  # central differences step by h = FD_STEP max(|I_j|, 1)
 # Relative slack of the capacity condition and the energy bound: pi R^2 and pi hbar round
@@ -235,14 +236,13 @@ class CapacityCheck:
 def capacity_condition(entry: EBKLevel, hbar: float = 1.0) -> CapacityCheck:
     """Check c(solid torus of the entry) = pi min_j R_j^2 >= h/2 = pi hbar, to ROUNDING_RTOL.
 
-    The capacity is regions.capacity(SolidTorus(radii)), which refuses a capacity
-    that under- or overflows.  For even Maslov indices m_j >= 2 the condition
-    holds automatically, since R_j^2 = (2 N_j + m_j/2) hbar >= hbar.
+    The capacity is symcore.solid_torus_capacity(radii), the value of
+    regions.capacity(SolidTorus(radii)), which refuses radii that are not > 0 and
+    finite and a capacity that under- or overflows.  For even Maslov indices
+    m_j >= 2 the condition holds automatically, since R_j^2 = (2 N_j + m_j/2) hbar >= hbar.
     """
-    from . import regions  # here: it loads williamson, which `symcap ebk` JSON output never needs
-
     half_h = math.pi * positive("hbar", hbar)
-    c = regions.capacity(regions.SolidTorus(entry.radii)).value
+    c = solid_torus_capacity(entry.radii)
     return CapacityCheck(capacity=c, satisfied=c >= half_h * (1.0 - ROUNDING_RTOL))
 
 

@@ -28,9 +28,11 @@ class ClosureError(ValueError):
 def validate_frames(frames: np.ndarray) -> None:
     """Raise unless every frame [X; P] of the stack (K, 2n, n) spans a Lagrangian plane.
 
-    Both tests run on the frame scaled to unit columns, which spans the same plane
-    (a zero column stays zero): full rank, sigma_min > 1e-10 sigma_max, and
-    isotropy, max|X^T P - P^T X| <= 1e-10 (|X|_2 + |P|_2)^2.
+    Both tests run on the frame F scaled to unit columns, which spans the same plane
+    (a zero column stays zero), from its singular values, one batched SVD per stack:
+    full rank, sigma_min > 1e-10 sigma_max, and isotropy, max|X^T P - P^T X| <=
+    1e-10 sigma_max^2.  Since sigma_max^2 = |F|_2^2 <= |X|_2^2 + |P|_2^2 <=
+    (|X|_2 + |P|_2)^2, no frame passes that fails the bound 1e-10 (|X|_2 + |P|_2)^2.
     """
     if frames.ndim != 3 or frames.shape[2] < 1 or frames.shape[1] != 2 * frames.shape[2]:
         raise DimensionError(f"frames must have shape (K, 2n, n), got {frames.shape}")
@@ -41,8 +43,7 @@ def validate_frames(frames: np.ndarray) -> None:
     if np.any(svals[:, -1] <= 1e-10 * svals[:, 0]):
         raise ValidationError("frame is rank deficient")
     iso = np.max(np.abs(np.swapaxes(X, 1, 2) @ P - np.swapaxes(P, 1, 2) @ X), axis=(1, 2))
-    scale = (np.linalg.norm(X, 2, axis=(1, 2)) + np.linalg.norm(P, 2, axis=(1, 2))) ** 2
-    bad = iso > 1e-10 * scale
+    bad = iso > 1e-10 * svals[:, 0] ** 2
     if np.any(bad):
         raise ValidationError(f"frame is not Lagrangian: isotropy residual {iso[bad][0]:.3e}")
 

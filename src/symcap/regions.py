@@ -25,8 +25,10 @@ from .symcore import (
     ValidationError,
     _bisect,
     as_phase_point,
+    finite_capacity,
     plane_indices,
     positive,
+    solid_torus_capacity,
     validate_posdef,
 )
 from .williamson import _spectrum
@@ -140,8 +142,7 @@ class CapacityValue:
     value: float
 
     def __post_init__(self):
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValidationError(f"capacity must be finite and > 0, got {self.value}")
+        finite_capacity(self.value)
 
     def to_json(self) -> str:
         return json.dumps({"value": self.value, "exact": True, "bounds": [self.value] * 2},
@@ -158,7 +159,7 @@ def capacity(region: PhaseRegion) -> CapacityValue:
     if isinstance(region, (Ball, Cylinder)):
         return CapacityValue(math.pi * (region.radius * region.radius))
     if isinstance(region, SolidTorus):
-        return CapacityValue(math.pi * min(r * r for r in region.radii))
+        return CapacityValue(solid_torus_capacity(region.radii))
     if isinstance(region, Ellipsoid):
         mu_max = float(_spectrum(*region._factors).mu[-1])  # numpy would warn on overflow
         return CapacityValue(2.0 * math.pi * region.level / mu_max)
@@ -363,9 +364,10 @@ def region_from_dict(obj: dict) -> PhaseRegion:
     if variant == "SolidTorus":
         return SolidTorus(tuple(float(r) for r in obj["radii"]))
     if variant == "Cylinder":
-        n = obj.get("n", max(1, int(obj["j"])))
+        j = obj["j"]  # Cylinder refuses a j that is not an int
+        n = obj.get("n", max(1, j) if type(j) is int else 1)
         center = obj.get("center", [0.0] * (2 * n))
-        return Cylinder(int(obj["j"]), center, float(obj["r"]))
+        return Cylinder(j, center, float(obj["r"]))
     if variant == "AffineImage":
         S = SymplecticMatrix.from_dict(obj["S"])
         shift = obj.get("shift", [0.0] * (2 * S.n))

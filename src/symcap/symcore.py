@@ -69,10 +69,27 @@ def positive(name: str, x):
     return v
 
 
+def finite_capacity(c: float) -> float:
+    """c if it is > 0 and finite: a capacity that under- or overflowed raises ValidationError."""
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValidationError(f"capacity must be finite and > 0, got {c}")
+    return c
+
+
+def solid_torus_capacity(radii) -> float:
+    """pi min_j R_j^2, the capacity of the solid torus D^2(R_1) x ... x D^2(R_n), for a
+    sequence or 1-d array of radii; radii that are not all > 0 and finite, and a capacity
+    that under- or overflows, raise ValidationError."""
+    radii = positive("solid-torus radii", radii).tolist()
+    return finite_capacity(math.pi * min(r * r for r in radii))
+
+
 def plane_indices(n: int, j: int) -> list:
     """Indices [x_j, p_j] of the conjugate pair j (1-based) in a 2n-vector, as Python
-    ints; j is any integer type (operator.index), never a float."""
+    ints; j is any integer type (operator.index) but bool, never a float."""
     try:
+        if isinstance(j, bool):
+            raise TypeError
         j = operator.index(j)
     except TypeError:
         raise ValidationError(f"conjugate-pair index must be an integer, got {j!r}") from None
@@ -181,10 +198,16 @@ class SymplecticCheck(NamedTuple):
 
 
 def _symplectic_verdicts(S: np.ndarray, tol: float):
-    """For each matrix of a stack S (T, 2n, 2n): max|S^T J S - J|, its largest entry
+    """For each matrix of a stack S (T, 2n, 2n): |S^T J S - J|, its largest entry
     |(S^T J S - J)_ik| / (|s_i| |s_k|) against the round-off scale of the columns s_i,
     whether that is <= tol, det S, and whether |det S - 1| is within max(10 tol
-    max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A norm or a limit that overflows fails."""
+    max(1, |det S|), DET_ROUNDOFF eps |S|_F^2).  A norm or a limit that overflows fails.
+
+    Both callers require the det verdict, whose limit must be finite, so a column
+    norm |s_i| is not tested for finiteness: a NaN or infinite entry makes |S|_F^2, and
+    so the limit, NaN or infinite too, and a column whose squares sum past the float
+    range makes |S|_F^2, which adds the same squares and more, overflow as well (the
+    two sums add in different orders, which can matter only within a few ulps of it)."""
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise DimensionError(f"expected square matrices, got shape {S.shape[1:]}")
     if S.shape[-1] % 2:
@@ -198,8 +221,7 @@ def _symplectic_verdicts(S: np.ndarray, tol: float):
         det = np.linalg.det(S)
         limit = np.maximum(10 * tol * np.maximum(1.0, np.abs(det)),
                            DET_ROUNDOFF * EPS * sq.sum(axis=(1, 2)))
-    return (diff.max(axis=(1, 2)), reading, (reading <= tol) & np.isfinite(col).all(axis=1),
-            det, (np.abs(det - 1.0) <= limit) & np.isfinite(limit))
+    return diff, reading, reading <= tol, det, (np.abs(det - 1.0) <= limit) & np.isfinite(limit)
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
@@ -212,8 +234,8 @@ def is_symplectic(M, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    (residual,), _, (ok,), _, (det_ok,) = _symplectic_verdicts(M[None], tol)
-    return SymplecticCheck(bool(ok and det_ok), float(residual))
+    diff, _, (ok,), _, (det_ok,) = _symplectic_verdicts(M[None], tol)
+    return SymplecticCheck(bool(ok and det_ok), float(diff.max()))
 
 
 def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -334,15 +356,16 @@ def expm(A) -> np.ndarray:
 
 def _plane_rotations(theta: np.ndarray) -> np.ndarray:
     """exp(J diag(theta, theta)) for theta (..., n): the rotations by theta_j in the
-    conjugate planes j, as a (..., 2n, 2n) stack."""
+    conjugate planes j, as a (..., 2n, 2n) stack.  Its four diagonals, (j, j), (n+j, n+j),
+    (j, n+j) and (n+j, j), are strided slices of each flattened matrix."""
     n = theta.shape[-1]
-    i = np.arange(n)
-    s = np.sin(theta)
-    rot = np.zeros((*theta.shape[:-1], 2 * n, 2 * n))
-    rot[..., i, i] = rot[..., n + i, n + i] = np.cos(theta)
-    rot[..., i, n + i] = s
-    rot[..., n + i, i] = -s
-    return rot
+    m = 2 * n + 1  # the stride of a diagonal in a flattened 2n x 2n matrix
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.zeros((*theta.shape[:-1], 4 * n * n))
+    rot[..., :2 * n * n:m] = rot[..., 2 * n * n + n::m] = c
+    rot[..., n:2 * n * n:m] = s
+    rot[..., 2 * n * n::m] = -s
+    return rot.reshape(*theta.shape[:-1], 2 * n, 2 * n)
 
 
 def _hashmix(v, c):

@@ -302,6 +302,8 @@ MALFORMED = {
     "ball-R-list": _region({"variant": "Ball", "R": [1, 2]}),
     "ball-R-null": _region({"variant": "Ball", "R": None}),
     "cylinder-j-string": _region({"variant": "Cylinder", "j": "a", "r": 1}),
+    "cylinder-j-float": _region({"variant": "Cylinder", "j": 1.7, "r": 1.0, "n": 2}),
+    "cylinder-j-bool": _region({"variant": "Cylinder", "j": True, "r": 1.0, "n": 2}),
     "torus-radii-number": _region({"variant": "SolidTorus", "radii": 5}),
     "torus-radii-string": _region({"variant": "SolidTorus", "radii": ["a"]}),
     "ellipsoid-ragged-hessian": _region({"variant": "Ellipsoid", "hessian": [[1, 0], [0]]}),

@@ -175,6 +175,38 @@ def test_capacity_condition_refuses_a_capacity_out_of_range(radii, value):
         capacity_condition(_level(radii))
 
 
+def _capacity_spectra():
+    """200 spectra: oscillators with n = 1..3 and quartic K, over hbar = 10^U(-3, 3)."""
+    rng = np.random.default_rng(31)
+    for k in range(200):
+        n, hbar = 1 + k % 3, float(10.0 ** rng.uniform(-3.0, 3.0))
+        maslov = tuple(int(m) for m in rng.integers(1, 5, n))
+        K = (oscillator_hamiltonian(rng.uniform(0.1, 10.0, n)) if k % 4
+             else ActionHamiltonian(K=_quartic, n=n, monotone=True))
+        yield energy_levels(K, maslov, 3 if n < 3 else 2, hbar)
+
+
+def test_capacity_condition_is_the_solid_torus_capacity_bit_for_bit():
+    levels = 0
+    for spec in _capacity_spectra():
+        for e in spec.entries:
+            c = capacity_condition(e, spec.hbar).capacity
+            assert c.hex() == regions.capacity(regions.SolidTorus(e.radii)).value.hex()
+            levels += 1
+    assert levels == 3122
+
+
+@pytest.mark.parametrize("radii", [[math.nan, 1.0], [1.0, 0.0], [math.inf, 1.0], [1e155, 1e155],
+                                   [1e-170, 1.0]], ids=["nan", "zero", "inf", "overflow",
+                                                        "underflow"])
+def test_capacity_condition_refuses_radii_as_the_solid_torus_capacity_does(radii):
+    with pytest.raises(ValidationError) as by_level:
+        capacity_condition(_level(radii))
+    with pytest.raises(ValidationError) as by_region:
+        regions.capacity(regions.SolidTorus(np.array(radii)))
+    assert str(by_level.value) == str(by_region.value)
+
+
 def test_capacity_condition_reads_only_the_least_plane():
     # a plane whose area pi R^2 overflows does not decide the capacity
     assert capacity_condition(_level([1.0, 1e155])) == CapacityCheck(math.pi, True)

@@ -218,7 +218,7 @@ SUBCOMMAND_MODULES = {
     "capacity": {"regions", "williamson"},
     "spectrum": {"williamson"},
     "ebk": {"ebk"},
-    "--format csv ebk": {"ebk", "regions", "williamson"},  # the capacity column
+    "--format csv ebk": {"ebk"},  # the capacity column comes from symcore
     "maslov": {"maslov"},
     "flow": {"williamson"},  # quad_propagator imports williamson's normal form
     "squeeze": {"squeeze"},
@@ -271,8 +271,8 @@ print(sorted({{span[2] for span in tracer.spans}}))
     assert lines[-2] == str([{"maslov.refinement_depth": 0},
                              {"regions.inclusion_check.sampled": 0}])
     assert lines[-1] == str(sorted([
-        "ebk.energy_levels", "ebk.capacity_condition", "regions.capacity",
-        "regions.inclusion_check", "maslov.torus_cycle_loop", "maslov.maslov_index"]))
+        "ebk.energy_levels", "ebk.capacity_condition", "regions.inclusion_check",
+        "maslov.torus_cycle_loop", "maslov.maslov_index"]))
 
 
 def test_an_export_read_under_the_tracer_is_the_home_object_after_uninstall():

@@ -78,6 +78,30 @@ def test_non_lagrangian_frame_rejected():
         LagrangianFrame(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_isotropy_threshold_is_never_above_the_sum_of_block_norms(n, seed):
+    # sigma_max^2 of a unit-column frame F = [X; P] against the (|X|_2 + |P|_2)^2 it replaced
+    rng = np.random.default_rng(seed)  # each column's X and P parts scaled apart by 10^U(-3, 3)
+    F = (rng.normal(size=(2, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 1, n))).reshape(2 * n, n)
+    F /= np.linalg.norm(F, axis=0)
+    X, P = F[:n], F[n:]
+    sigma_max = np.linalg.svd(F, compute_uv=False)[0]
+    assert sigma_max**2 <= (np.linalg.norm(X, 2) + np.linalg.norm(P, 2)) ** 2
+
+
+def test_frame_between_the_old_and_new_isotropy_thresholds_is_refused():
+    # residual ~1.4e-10 of a unit-column frame with sigma_max^2 ~ 1, (|X|_2 + |P|_2)^2 ~ 2
+    a, delta = math.sqrt(0.5), 2e-10
+    X, P = a * np.eye(2), np.array([[a, delta], [0.0, a]])
+    F = np.vstack([X, P]) / np.linalg.norm(np.vstack([X, P]), axis=0)
+    iso = np.abs(F[:2].T @ F[2:] - F[2:].T @ F[:2]).max()
+    old = 1e-10 * (np.linalg.norm(F[:2], 2) + np.linalg.norm(F[2:], 2)) ** 2
+    assert 1e-10 * np.linalg.svd(F, compute_uv=False)[0] ** 2 < iso < old
+    with pytest.raises(ValidationError, match="not Lagrangian"):
+        LagrangianFrame(X, P)
+
+
 def test_rank_deficient_frame_rejected():
     with pytest.raises(ValidationError):
         LagrangianFrame(np.zeros((2, 2)), np.diag([1.0, 0.0]))

@@ -175,6 +175,28 @@ def test_stacked_draw_keeps_the_per_seed_stream(n, spread):
     assert random_symplectic_stack(n, seeds, spread).tobytes() == expected.tobytes()
 
 
+def fancy_index_rotations(theta):
+    """_plane_rotations as it was built by fancy indexing, the reference for its slices."""
+    n = theta.shape[-1]
+    i = np.arange(n)
+    s = np.sin(theta)
+    rot = np.zeros((*theta.shape[:-1], 2 * n, 2 * n))
+    rot[..., i, i] = rot[..., n + i, n + i] = np.cos(theta)
+    rot[..., i, n + i] = s
+    rot[..., n + i, i] = -s
+    return rot
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("shape", [(), (7,)], ids=["single", "stack"])
+def test_plane_rotations_match_the_fancy_index_construction(n, shape):
+    theta = np.random.default_rng(n).uniform(-10.0, 10.0, (*shape, n))
+    theta.flat[0] = -0.0
+    rot = _plane_rotations(theta)
+    assert rot.shape == (*shape, 2 * n, 2 * n)
+    assert rot.tobytes() == fancy_index_rotations(theta).tobytes()
+
+
 def stream_heads(seeds, streams):
     """The first standard_normal and random draws of each stream, and the distinct generators."""
     heads, rngs = [], []
