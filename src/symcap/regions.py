@@ -24,11 +24,11 @@ from .symcore import (
     SymplecticMatrix,
     ValidationError,
     _bisect,
+    _least_disk_area,
     as_phase_point,
     finite_capacity,
     plane_indices,
     positive,
-    solid_torus_capacity,
     validate_posdef,
 )
 from .williamson import _spectrum
@@ -159,7 +159,7 @@ def capacity(region: PhaseRegion) -> CapacityValue:
     if isinstance(region, (Ball, Cylinder)):
         return CapacityValue(math.pi * (region.radius * region.radius))
     if isinstance(region, SolidTorus):
-        return CapacityValue(solid_torus_capacity(region.radii))
+        return CapacityValue(_least_disk_area(region.radii))
     if isinstance(region, Ellipsoid):
         mu_max = float(_spectrum(*region._factors).mu[-1])  # numpy would warn on overflow
         return CapacityValue(2.0 * math.pi * region.level / mu_max)

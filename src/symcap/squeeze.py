@@ -10,8 +10,6 @@ area is never below pi R^2.
 Neither M nor its inverse is formed: sqrt(det(P M P^T)) = |r_11 r_22| for the
 QR factor r of the two plane rows of S, and M^{-1} = S^{-T} S^{-1} with S^{-1}
 the exact block transpose symcore._inverse, so the slice uses its plane columns.
-For n = 1 both shadows are all of S(B(R)), of area pi R^2 |det S|, and det S is
-taken as ad - bc from Dekker's exact products, which leaves two roundings.
 
 The slice area is <= pi R^2 (with equality when the preimage plane is
 invariant under the standard rotation J); only that inequality is asserted
@@ -46,10 +44,9 @@ from .symcore import (
     random_symplectic_stack,
 )
 
-# The QR round-off of the shadow areas for n >= 2 grows like eps cond(S); this
-# tolerance dominates it for n <= 10 only while cond(S) stays below about 1e7.  For
-# n = 1 the compensated det S is within an ulp or two of the det of S as stored, so
-# the tolerance only has to cover how far that det is from 1.
+# The QR round-off of the shadow areas grows like eps cond(S); this tolerance
+# dominates it for n <= 10 only while cond(S) stays below about 1e7.  Past that
+# (n = 1 maps at spread 3) round-off is reported as a violation; see CHANGES.md.
 NONSQUEEZE_TOL = 1e-9
 # Matrix entries drawn and checked at once by nonsqueeze_verify, and sample rows
 # drawn at once by the Monte Carlo oracles: the memory of a run stays fixed
@@ -72,27 +69,6 @@ def _area_in_range(area, R: float):
     return area
 
 
-SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: a = hi + lo, each half of 26 bits or fewer
-
-
-def _split(a):
-    t = SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _det2(S: np.ndarray) -> np.ndarray:
-    """ad - bc of each matrix [[a, b], [c, d]] of a stack (T, 2, 2), compensated: with
-    Dekker's two-product (no FMA), a d = p + e and b c = q + f exactly, and the det is
-    (p - q) + (e - f)."""
-    (a, b), (c, d) = np.moveaxis(S, 0, -1)
-    (a_hi, a_lo), (b_hi, b_lo), (c_hi, c_lo), (d_hi, d_lo) = map(_split, (a, b, c, d))
-    p, q = a * d, b * c
-    e = ((a_hi * d_hi - p) + a_hi * d_lo + a_lo * d_hi) + a_lo * d_lo
-    f = ((b_hi * c_hi - q) + b_hi * c_lo + b_lo * c_hi) + b_lo * c_lo
-    return (p - q) + (e - f)
-
-
 def _shadow_areas(S: np.ndarray, R: float, planes):
     """(projection areas, slice areas) of S(B(R)) on each conjugate plane j in planes,
     for a stack S of shape (T, 2n, 2n): two (T, len(planes)) arrays."""
@@ -106,10 +82,7 @@ def _shadow_areas(S: np.ndarray, R: float, planes):
 
     disk = math.pi * (R * R)
     with np.errstate(over="ignore"):
-        if n == 1:  # the plane is all of phase space
-            proj = inter = np.repeat(disk * np.abs(_det2(S))[:, None], len(idx), axis=1)
-        else:
-            proj, inter = disk * gram_root(S), disk / gram_root(np.swapaxes(_inverse(S), 1, 2))
+        proj, inter = disk * gram_root(S), disk / gram_root(np.swapaxes(_inverse(S), 1, 2))
     return _area_in_range(proj, R), _area_in_range(inter, R)
 
 
@@ -340,11 +313,9 @@ def nonsqueeze_verify(n: int, trials: int, seed: int, R: float = 1.0,
     For each trial and each conjugate plane, checks projection_area >=
     pi R^2 (1 - tol) and intersection_area <= projection_area.  Violations
     (which would indicate a bug) are collected in the report, never raised.
-    For n >= 2 the areas carry round-off of about eps cond(S), so maps with
-    cond(S) beyond about 1e7 could be listed as violations.  For n = 1 both
-    areas are pi R^2 |det S| from a compensated det, whose error stays near eps
-    whatever cond(S): nonsqueeze_verify(1, 50, seed=3, spread=3.0), where the
-    QR areas listed 2 violations at cond(S) ~ 2.6e8, lists none.
+    The areas carry round-off of about eps cond(S), so maps with cond(S)
+    beyond about 1e7, which n = 1 draws reach at spread 3, can be listed as
+    violations: nonsqueeze_verify(1, 50, seed=3, spread=3.0) lists 2.
     """
     if trials < 1:
         raise ValidationError(f"need trials >= 1, got {trials}")

@@ -76,12 +76,17 @@ def finite_capacity(c: float) -> float:
     return c
 
 
+def _least_disk_area(radii) -> float:
+    """pi min_j R_j^2 of a sequence of float radii, unchecked: the formula of
+    solid_torus_capacity, for radii that a SolidTorus has already validated."""
+    return math.pi * min(r * r for r in radii)
+
+
 def solid_torus_capacity(radii) -> float:
     """pi min_j R_j^2, the capacity of the solid torus D^2(R_1) x ... x D^2(R_n), for a
     sequence or 1-d array of radii; radii that are not all > 0 and finite, and a capacity
     that under- or overflows, raise ValidationError."""
-    radii = positive("solid-torus radii", radii).tolist()
-    return finite_capacity(math.pi * min(r * r for r in radii))
+    return finite_capacity(_least_disk_area(positive("solid-torus radii", radii).tolist()))
 
 
 def plane_indices(n: int, j: int) -> list:
